@@ -46,7 +46,6 @@ class AnnotationConfig:
     cta_weight_level1: float = 1.0
     cta_weight_level2: float = 0.7
     cta_weight_level3: float = 0.2
-    popular_entity_edges: int = 1_000_000  # cache cutoff (annotation_models.py:121-123)
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,6 @@ class RuntimeConfig:
     """Ray-side execution knobs; sized per stage, not global."""
 
     typing_batch_size: int = 4096
-    lookup_batch_size: int = 4096
-    lookup_concurrency: int = 4
-    annotate_concurrency: int = 4
     # pre-shuffle skew guard: drop turns past the per-conversation cap
     # BEFORE the conv_id exchange.  Output-identical for ANY turn_idx
     # distribution: the annotate worker derives its table dims from the

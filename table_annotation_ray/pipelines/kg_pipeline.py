@@ -5,8 +5,12 @@
       → groupby(bucket).map_groups(annotate)             [task-based, per-worker
             encoding repair → cell explode → typing →     state: gazetteer NER,
             fuzzy lookup → 4-loop CEA/CTA/CPA model]      label index, KB image]
-      → triples → per-block dedup → groupby(s,p,o) max   [one global shuffle]
-      → write hash(subj)-partitioned Parquet + manifests [resumable]
+      → triples → per-block Arrow (s,p,o) max/min        [combine, fused into
+            + tag part = crc32(subj) % P                   the annotate task]
+      → sort(part, fixed boundaries) → per-partition     [one exchange, keyed on
+            (s,p,o) max/min reduce                         the sink's own rule]
+      → write hash(subj)-partitioned Parquet + manifests [resumable; one file
+                                                          per partition]
 
 The streaming re-expression of the reference's per-table
 ``table_annotation`` entry point (annotation/table_annotation.py:22-148)
@@ -14,7 +18,10 @@ over 10^12-turn transcript shards.  The bucket exchange moves ONE ROW
 PER TURN (cell explosion happens post-shuffle, inside the annotate
 worker); no stage materializes the full dataset; the only all-to-alls
 are the bucket groupby (key cardinality = num_buckets) and the triple
-dedup.  See docs/SCALING.md for the 100 TB arithmetic.
+dedup, whose exchange is the sink's hash(subj) partitioning: every copy
+of a triple shares its subj, so deduplicating per sink partition is
+exact and each partition arrives at the sink as one block.  See
+docs/SCALING.md for the 100 TB arithmetic.
 
 Nothing here calls ray.init() — the caller owns the session.
 """
@@ -89,7 +96,7 @@ def triples_dataset(
         batch_format="pyarrow",
         fn_kwargs={"kb_ref": kb_ref, "config": cfg},
     )
-    return dedup_triples(raw)
+    return dedup_triples(raw, cfg.runtime.triple_partitions)
 
 
 def annotations_dataset(
@@ -157,7 +164,7 @@ def triples_from_turns(
         fn_kwargs={"kb_ref": kb_ref, "config": cfg,
                    "kb_tier": kb_tier, "lookup_tier": lookup_tier},
     )
-    return dedup_triples(raw)
+    return dedup_triples(raw, cfg.runtime.triple_partitions)
 
 
 def run_kg_pipeline(

@@ -38,9 +38,6 @@ mmap collapsed into per-worker state (ST3/ST4).
 
 from __future__ import annotations
 
-import zlib
-
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -50,6 +47,7 @@ from ..config import PipelineConfig
 from ..state.kb import KBData, KBReader
 from ..state.lookup_index import LabelIndex
 from .annotator import ActorCaches, AnnotationResult, TableAnnotator
+from .sinks import str_partitions
 from .triples import conversation_outputs_to_rows
 
 
@@ -59,26 +57,9 @@ DEFAULT_MAX_ROWS_PER_CONV = 400
 
 
 def add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Deterministic hash bucket per conv_id (crc32 — stable across
-    processes, unlike Python's salted hash()).  Hashing runs once per
-    UNIQUE conv_id in the batch (mention rows repeat conv_ids heavily)
-    and is mapped back via dictionary-encode indices."""
-    conv = batch["conv_id"].combine_chunks()
-    dict_arr = conv.dictionary_encode()
-    uniq = dict_arr.dictionary.to_pylist()
-    if any(c is None for c in uniq):
-        # fail fast with a diagnosable error instead of an opaque
-        # AttributeError deep in the shuffle prologue (code-review r4)
-        raise ValueError(
-            "transcripts contain null conv_id rows; conv_id is the "
-            "shuffle key and must be non-null (filter or impute upstream)"
-        )
-    uniq_buckets = np.fromiter(
-        (zlib.crc32(c.encode()) % num_buckets for c in uniq),
-        dtype=np.int32,
-        count=len(uniq),
-    )
-    buckets = uniq_buckets[dict_arr.indices.to_numpy(zero_copy_only=False)]
+    """Deterministic hash bucket per conv_id (``crc32 % num_buckets``,
+    stages/sinks.py::str_partitions); a null conv_id raises ValueError."""
+    buckets = str_partitions(batch["conv_id"], num_buckets, "conv_id")
     return batch.append_column("bucket", pa.array(buckets, pa.int32()))
 
 

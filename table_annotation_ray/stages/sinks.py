@@ -40,10 +40,35 @@ def assign_part_int(batch: pa.Table, key_col: str, num_partitions: int) -> pa.Ta
     return batch.append_column("part", pa.array(parts.astype(np.int32)))
 
 
+def str_partitions(
+    keys: pa.Array | pa.ChunkedArray, num_partitions: int, what: str
+) -> np.ndarray:
+    """``crc32(utf8(key)) % num_partitions`` per row as int32 — the one
+    string-key partition rule (conv_id buckets, triple dedup, sink).
+    crc32 is stable across processes, unlike Python's salted hash().
+    Hashes once per DISTINCT key (keys repeat heavily) and maps back via
+    dictionary-encode indices.  Null keys raise ``ValueError`` naming
+    ``what``: the key routes the row, and a null has no partition."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if keys.null_count:
+        raise ValueError(
+            f"{keys.null_count} null {what} value(s); {what} is a partition "
+            "key and must be non-null (filter or impute upstream)"
+        )
+    encoded = keys.dictionary_encode()
+    uniq = encoded.dictionary.to_pylist()
+    uniq_parts = np.fromiter(
+        (zlib.crc32(k.encode()) % num_partitions for k in uniq),
+        dtype=np.int32,
+        count=len(uniq),
+    )
+    return uniq_parts[encoded.indices.to_numpy(zero_copy_only=False)]
+
+
 def assign_part_str(batch: pa.Table, key_col: str, num_partitions: int) -> pa.Table:
     """crc32 hash partition for string keys (the triple sink's rule)."""
-    vals = batch[key_col].to_pylist()
-    parts = [zlib.crc32(s.encode()) % num_partitions for s in vals]
+    parts = str_partitions(batch[key_col], num_partitions, key_col)
     return batch.append_column("part", pa.array(parts, pa.int32()))
 
 
