@@ -1209,15 +1209,12 @@ def _q_kg_annotations(sf_dir: str):
         annotations_dataset,
         read_transcripts,
     )
-    from table_annotation_ray.stages.clean import clean_and_explode
     from table_annotation_ray.state.kb import load_kb
 
     root = _synth_root_for(sf_dir)
     kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
-    cells = read_transcripts(os.path.join(root, "transcripts.parquet")).map_batches(
-        clean_and_explode, batch_format="pyarrow"
-    )
-    return annotations_dataset(cells, kb_ref).to_pandas()
+    transcripts = read_transcripts(os.path.join(root, "transcripts.parquet"))
+    return annotations_dataset(transcripts, kb_ref).to_pandas()
 
 
 def _q_parts_never_ordered(sf_dir: str):

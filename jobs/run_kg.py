@@ -27,13 +27,19 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
+    from table_annotation_ray.config import DEFAULT_CONFIG
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--transcripts", required=True, help="parquet path/dir of transcripts")
     parser.add_argument("--kb", required=True, help="mini-KB parquet directory")
     parser.add_argument("--out", required=True, help="output directory for triple partitions")
-    parser.add_argument("--partitions", type=int, default=16, help="hash(subj) output partitions")
-    parser.add_argument("--buckets", type=int, default=64, help="conv_id shuffle buckets")
-    parser.add_argument("--k", type=int, default=20, help="candidates per mention")
+    parser.add_argument("--partitions", type=int,
+                        default=DEFAULT_CONFIG.runtime.triple_partitions,
+                        help="hash(subj) output partitions")
+    parser.add_argument("--buckets", type=int, default=DEFAULT_CONFIG.runtime.num_buckets,
+                        help="conv_id shuffle buckets")
+    parser.add_argument("--k", type=int, default=DEFAULT_CONFIG.annotation.k,
+                        help="candidates per mention")
     parser.add_argument(
         "--sharded-kb", action="store_true",
         help="serve the KB from an entity-hash actor tier instead of a "
@@ -57,7 +63,6 @@ def main() -> int:
 
     from dataclasses import replace
 
-    from table_annotation_ray.config import DEFAULT_CONFIG
     from table_annotation_ray.pipelines.kg_pipeline import run_kg_pipeline
 
     cfg = replace(

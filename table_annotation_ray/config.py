@@ -53,17 +53,12 @@ class RuntimeConfig:
     """Ray-side execution knobs; sized per stage, not global."""
 
     typing_batch_size: int = 4096
-    # pre-shuffle skew guard: drop turns past the per-conversation cap
-    # BEFORE the conv_id exchange.  Output-identical for ANY turn_idx
-    # distribution: the annotate worker derives its table dims from the
-    # capped rows only, so "turn_idx < cap" selects exactly the rows it
-    # would use (pytest-pinned for dense, sparse and wider-beyond-cap
-    # payloads).  The knob exists for A/B measurement and as an escape
-    # hatch, not for correctness.
-    prefilter_turn_cap: bool = True
-    # per-conversation row cap (D4): turns past it are dropped both
-    # map-side (prefilter above) and in-worker; raise when full-row
-    # annotation matters more than skew-bounded tail latency
+    # per-conversation row cap (D4), the one source of it: the annotate
+    # worker ignores turns with turn_idx >= cap and sizes its table from
+    # the rest, and the pipeline drops the same turns map-side BEFORE
+    # the conv_id exchange (output-identical for any turn_idx
+    # distribution, pytest-pinned).  Raise it when full-row annotation
+    # matters more than skew-bounded tail latency.
     max_rows_per_conv: int = 400
     # conv_id hash buckets for the annotate shuffle.  128 measured best
     # at 352k turns on both 32 CPUs (11.0 s vs 11.8–13.2 s @ 64; group-

@@ -232,11 +232,11 @@ def annotate_tables(
     (entity URIs + labels, reference output shape)."""
 
     def run(batch: pa.Table) -> pa.Table:
-        from ..stages.annotate_stage import AnnotateBucket
+        from ..stages.annotate_stage import get_annotate_stage
 
-        stage: AnnotateBucket = get_worker_state(
-            ("annotate", ref_key(kb_ref)), lambda: AnnotateBucket(kb_ref, cfg)
-        )
+        # the flagship's per-worker stage: one label index and gazetteer
+        # per (KB, config) in a worker that runs both pipelines
+        stage = get_annotate_stage(kb_ref, cfg)
         ids, payloads = [], []
         for tid, raw_table in _group_tables(batch).items():
             payload = annotate_single(raw_table, stage)

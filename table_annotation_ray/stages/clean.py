@@ -31,9 +31,12 @@ def explode_cells_batch(batch: pa.Table) -> pa.Table:
     """(conv_id, turn_idx, text) → (conv_id, turn_idx, col_slot, mention).
 
     Fully vectorized: split each text on the cell separator, flatten,
-    and compute per-cell slot indices from the list offsets.
+    and compute per-cell slot indices from the list offsets.  A null
+    text is one empty cell at slot 0, like the annotate stage's turn
+    reader; it is filled before the split because a null list has no
+    length for the slot arithmetic.
     """
-    text = batch["text"].combine_chunks()
+    text = batch["text"].combine_chunks().fill_null("")
     cells = pc.split_pattern(text, CELL_SEP)
     flat = pc.list_flatten(cells)
     lengths = pc.list_value_length(cells).to_numpy(zero_copy_only=False)

@@ -75,19 +75,30 @@ def test_numeric_only_table(run):
 
 def test_hot_conversation_cap(kb_objects):
     # conversations beyond max_rows are truncated, not exploded
-    import pandas as pd
+    from dataclasses import replace
 
-    from table_annotation_ray.config import DEFAULT_CONFIG
+    import pyarrow as pa
+
+    from table_annotation_ray.config import DEFAULT_CONFIG, RuntimeConfig
+    from table_annotation_ray.schemas import CELL_SEP
     from table_annotation_ray.stages.annotate_stage import AnnotateBucket
 
     kb, _, _ = kb_objects
-    stage = AnnotateBucket(kb, DEFAULT_CONFIG, max_rows_per_conv=50)
+    cfg = replace(DEFAULT_CONFIG, runtime=RuntimeConfig(max_rows_per_conv=50))
+    stage = AnnotateBucket(kb, cfg)
     rows = synth._rows_for_template(synth.CITY_TEMPLATE, None)
-    df_rows = []
-    for turn in range(200):
-        cells, _ = rows[turn % len(rows)]
-        for slot, cell in enumerate(cells):
-            df_rows.append({"conv_id": "hot", "turn_idx": turn, "col_slot": slot, "mention": cell})
-    res = stage.annotate_conversation(pd.DataFrame(df_rows))
-    assert res.cea  # annotated the capped prefix
-    assert max(r for (r, _c) in res.cea) < 50
+    texts = [CELL_SEP.join(rows[turn % len(rows)][0]) for turn in range(200)]
+
+    def turns(n):
+        return pa.table({"conv_id": ["hot"] * n,
+                         "turn_idx": pa.array(range(n), pa.int32()),
+                         "text": texts[:n]})
+
+    ann = stage.annotations_table(turns(200)).to_pandas()
+    cea_rows = ann.loc[ann["kind"] == "cea", "row"]
+    assert len(cea_rows)  # annotated the capped prefix
+    assert cea_rows.max() < 50
+    triples = stage.annotate_turns_table(turns(200))
+    assert triples.num_rows
+    # the 150 turns past the cap contribute nothing
+    assert triples.equals(stage.annotate_turns_table(turns(50)))

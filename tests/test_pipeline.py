@@ -68,11 +68,9 @@ def test_resume_equals_single_run(ray_session, synth_root, tmp_path):
     import ray
     import ray.data as rd
 
-    from table_annotation_ray.config import DEFAULT_CONFIG
     from table_annotation_ray.pipelines.kg_pipeline import (
-        mentions_dataset,
         read_transcripts,
-        triples_dataset,
+        triples_from_turns,
     )
     from table_annotation_ray.stages.triples import write_triples_partitioned
     from table_annotation_ray.state.kb import load_kb
@@ -81,9 +79,7 @@ def test_resume_equals_single_run(ray_session, synth_root, tmp_path):
     path = os.path.join(synth_root, "transcripts.parquet")
 
     def build():
-        return triples_dataset(
-            mentions_dataset(read_transcripts(path), kb_ref), kb_ref
-        )
+        return triples_from_turns(read_transcripts(path), kb_ref)
 
     single_dir = str(tmp_path / "single")
     write_triples_partitioned(build(), single_dir, num_partitions=4)
@@ -208,7 +204,6 @@ def test_hot_conversation_prefilter_identical(ray_session, synth_root, tmp_path)
         read_transcripts,
         triples_from_turns,
     )
-    from table_annotation_ray.stages.annotate_stage import DEFAULT_MAX_ROWS_PER_CONV
     from table_annotation_ray.state.kb import load_kb
 
     base = pq.read_table(
@@ -219,7 +214,7 @@ def test_hot_conversation_prefilter_identical(ray_session, synth_root, tmp_path)
         .sort_values("turn_idx")
         .reset_index(drop=True)
     )
-    n_cap = DEFAULT_MAX_ROWS_PER_CONV
+    n_cap = DEFAULT_CONFIG.runtime.max_rows_per_conv
     n_hot = 3 * n_cap
     # dense hot conversation: real turn texts cycled over 3x the cap
     hot = pd.DataFrame(
@@ -247,22 +242,20 @@ def test_hot_conversation_prefilter_identical(ray_session, synth_root, tmp_path)
     pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
 
 
-def test_sparse_turn_idx_both_paths_match_worker(ray_session, synth_root, tmp_path):
+def test_sparse_turn_idx_matches_worker(ray_session, synth_root, tmp_path):
     """SPARSE turn indexes (the case outside the input-hint contract):
     since the worker derives table dims from capped rows only
-    (code-review r4 fix), the prefilter is output-identical for ANY
-    turn_idx distribution — both the enabled and disabled paths must
-    equal the worker on a conversation mixing in-cap rows with
-    beyond-cap rows carrying a WIDER col_slot payload."""
+    (code-review r4 fix), the pipeline's pre-shuffle cap is
+    output-identical for ANY turn_idx distribution — it must equal the
+    worker on a conversation mixing in-cap rows with beyond-cap rows
+    carrying a WIDER col_slot payload."""
     import os
-    from dataclasses import replace
 
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
-    from table_annotation_ray.config import PipelineConfig, RuntimeConfig
     from table_annotation_ray.pipelines.kg_pipeline import (
         read_transcripts,
         triples_from_turns,
@@ -293,16 +286,12 @@ def test_sparse_turn_idx_both_paths_match_worker(ray_session, synth_root, tmp_pa
 
     kb = load_kb(os.path.join(synth_root, "kb"))
     want = _worker_reference_triples(sparse, kb)
-    for prefilter in (True, False):
-        cfg = replace(
-            PipelineConfig(), runtime=RuntimeConfig(prefilter_turn_cap=prefilter)
-        )
-        got = triples_from_turns(read_transcripts(path), ray.put(kb), cfg).to_pandas()
-        if len(want):
-            got = got.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
-            pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-        else:
-            assert len(got) == 0, prefilter
+    got = triples_from_turns(read_transcripts(path), ray.put(kb)).to_pandas()
+    if len(want):
+        got = got.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
+    else:
+        assert len(got) == 0
 
 
 # --- seventh code-review batch regressions ----------------------------------
