@@ -1171,13 +1171,11 @@ def _q_approx_distinct_users(sf_dir: str):
 
 
 def _q_kg_mentions(sf_dir: str):
-    import ray
-
     from table_annotation_ray.pipelines.kg_pipeline import mentions_dataset, read_transcripts
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     ds = mentions_dataset(read_transcripts(os.path.join(root, "transcripts.parquet")), kb_ref)
     out = ds.to_pandas()
     out["typing"] = out["typing"].map(lambda xs: ",".join(xs))
@@ -1186,14 +1184,12 @@ def _q_kg_mentions(sf_dir: str):
 
 
 def _q_kg_candidates(sf_dir: str):
-    import ray
-
     from table_annotation_ray.pipelines.kg_pipeline import mentions_dataset, read_transcripts
     from table_annotation_ray.stages.lookup_stage import lookup_candidates
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     mentions = mentions_dataset(
         read_transcripts(os.path.join(root, "transcripts.parquet")), kb_ref
     ).drop_columns(["typing", "datatype"])
@@ -1203,16 +1199,14 @@ def _q_kg_candidates(sf_dir: str):
 def _q_kg_annotations(sf_dir: str):
     """The CEA/CTA/CPA annotation relations from the flagship pipeline
     (rows-only: model-driven)."""
-    import ray
-
     from table_annotation_ray.pipelines.kg_pipeline import (
         annotations_dataset,
         read_transcripts,
     )
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     transcripts = read_transcripts(os.path.join(root, "transcripts.parquet"))
     return annotations_dataset(transcripts, kb_ref).to_pandas()
 
@@ -1793,15 +1787,14 @@ def _q_entity_lookup(sf_dir: str):
     drop_duplicates per bucket (stages/agg.py::bucketed_distinct) —
     never one Ray group per distinct label, which is per-key Python at
     corpus cardinality (10^8+ distinct mentions at 100 TB)."""
-    import ray
     import ray.data as rd
 
     from table_annotation_ray.pipelines.table_pipeline import lookup_labels
     from table_annotation_ray.stages.agg import bucketed_distinct
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     tr = rd.read_parquet(os.path.join(root, "transcripts.parquet"), columns=["text"])
 
     def distinct_labels(b):
@@ -1822,11 +1815,10 @@ def _q_table_preprocess(sf_dir: str):
     import json
 
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
     from table_annotation_ray.pipelines.table_pipeline import preprocess_tables
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     rows = []
     for tname in ("nation", "region"):
@@ -1837,7 +1829,7 @@ def _q_table_preprocess(sf_dir: str):
             rows.append({"table_id": tname, "row_idx": i, "cells": cells})
     ds = rd.from_items(rows)
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     out = preprocess_tables(ds, kb_ref).to_pandas()
     out["orientation"] = out["preprocessed"].map(
         lambda s: json.loads(s)["tableOrientation"]["orientationLabel"] if s != "{}" else ""
@@ -1853,15 +1845,14 @@ def _q_table_annotate(sf_dir: str):
     over the films fixture (rows-only: model-driven)."""
     import json
 
-    import ray
     import ray.data as rd
 
     from table_annotation_ray import synth
     from table_annotation_ray.pipelines.table_pipeline import annotate_tables
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
-    kb_ref = ray.put(load_kb(os.path.join(root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(root, "kb"))
     rows = []
     for ti, template in enumerate(synth.TEMPLATES):
         for i, (cells, _truth) in enumerate(synth._rows_for_template(template, None)):

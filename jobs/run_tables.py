@@ -47,9 +47,9 @@ def main() -> int:
         preprocess_tables,
     )
     from table_annotation_ray.sources.delimited import read_tables_from_files
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
-    kb_ref = ray.put(load_kb(args.kb))
+    kb_ref = broadcast_kb(args.kb)
     tables = read_tables_from_files(args.tables)
     if args.mode == "preprocess":
         out = preprocess_tables(tables, kb_ref)

@@ -36,11 +36,10 @@ Nothing here calls ray.init() — the caller owns the session.
 
 from __future__ import annotations
 
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..state.kb import load_kb
+from ..state.kb import broadcast_kb
 from ..stages.annotate_stage import AnnotateBucket, add_bucket, get_annotate_stage
 from ..stages.clean import clean_and_explode
 from ..stages.triples import dedup_triples, write_triples_partitioned
@@ -169,7 +168,7 @@ def run_kg_pipeline(
             num_cpus_per_shard=num_cpus_per_shard,
         )
     else:
-        kb_ref = ray.put(load_kb(kb_dir))
+        kb_ref = broadcast_kb(kb_dir)
     triples = triples_from_turns(
         read_transcripts(transcripts_path), kb_ref, cfg,
         kb_tier=kb_tier, lookup_tier=lookup_tier,

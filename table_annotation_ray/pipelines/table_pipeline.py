@@ -12,7 +12,6 @@ task-based worker-state pattern of the flagship pipeline.
 from __future__ import annotations
 
 import json
-import zlib
 
 import pyarrow as pa
 
@@ -20,6 +19,7 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..stages.sinks import str_partitions
 from ..state.worker_state import get_worker_state, ref_key
 
 TABLE_BUCKETS = 128
@@ -32,14 +32,12 @@ def _bucket_tables(ds: rd.Dataset, num_buckets: int = TABLE_BUCKETS) -> rd.Datas
     table, which pays a per-key UDF call at corpus table counts
     (CLAUDE.md r3: map_groups degrades past ~20k groups).  The group
     UDFs already iterate ``_group_tables`` so multi-table groups are
-    free."""
+    free.  A null ``table_id`` raises ``ValueError``
+    (stages/sinks.py::str_partitions)."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        tids = batch["table_id"].to_pylist()
-        uniq = {t: zlib.crc32(t.encode()) % num_buckets for t in set(tids)}
-        return batch.append_column(
-            "__tb_bkt", pa.array([uniq[t] for t in tids], pa.int32())
-        )
+        buckets = str_partitions(batch["table_id"], num_buckets, "table_id")
+        return batch.append_column("__tb_bkt", pa.array(buckets, pa.int32()))
 
     return ds.map_batches(tag, batch_format="pyarrow")
 

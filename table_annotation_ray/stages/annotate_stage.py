@@ -218,7 +218,9 @@ def get_annotate_stage(
 ) -> "AnnotateBucket":
     """Per-worker-process :class:`AnnotateBucket` (state/worker_state.py):
     built once per (KB ref, tier identity, config) per worker, reused
-    across tasks and across the flagship and table pipelines.  Tier
+    across tasks and across the flagship and table pipelines.  The ref
+    from state/kb.py::broadcast_kb is one per KB content per Ray
+    session, so later jobs over the same KB reuse the stage.  Tier
     handles pickle into the task; their ``key()`` (actor ids) keeps the
     cache key stable across unpickling."""
     from ..state.worker_state import get_worker_state, ref_key

@@ -130,10 +130,18 @@ def _seed_pieces(
     return pd.concat([chars, multi], ignore_index=True)[["piece", "n"]]
 
 
+# score of an unseen character's 1-char piece: finite, so the positions
+# after it stay reachable, and below any real piece's log-prob, so a
+# known piece spanning the character still wins
+_UNSEEN_LOGP = -1e9
+
+
 def _viterbi(word: str, logp: dict, max_piece_len: int) -> list[str]:
     """Best segmentation of ``word`` under piece log-probs — fixed
     iteration order (piece length ascending, strict improvement only)
-    so ties resolve identically everywhere."""
+    so ties resolve identically everywhere.  A position no piece ends
+    at (a character missing from the piece table) becomes its own
+    1-char piece scored :data:`_UNSEEN_LOGP`."""
     L = len(word)
     best = [0.0] + [-math.inf] * L
     back = [0] * (L + 1)
@@ -146,6 +154,9 @@ def _viterbi(word: str, logp: dict, max_piece_len: int) -> list[str]:
             if s > best[i]:
                 best[i] = s
                 back[i] = l
+        if back[i] == 0:
+            best[i] = best[i - 1] + _UNSEEN_LOGP
+            back[i] = 1
     out: list[str] = []
     i = L
     while i > 0:
@@ -239,10 +250,9 @@ def train_unigram_lm(
             "count": np.fromiter(cur.values(), np.int64, len(cur)),
         }
     )
-    out["logprob"] = np.where(
-        out["count"].to_numpy() > 0,
-        np.log(out["count"].to_numpy(np.float64) / total),
-        np.nan,
+    count = out["count"].to_numpy(np.float64)
+    out["logprob"] = np.log(
+        count / total, where=count > 0, out=np.full(len(count), np.nan)
     )
     return (
         out.sort_values(["count", "piece"], ascending=[False, True])

@@ -2,11 +2,17 @@
 
 Replaces the reference's LMDB hashmap + ES server pair
 (`annot_scripts/knowledge_bases.py:50-77`, `data/lookup/entity_indexing.py`)
-with a Parquet-backed KB loaded ONCE on the driver, shared via
-``ray.put`` (object-store broadcast — every actor on a node maps the
-same plasma copy), and wrapped per actor in :class:`KBReader` which
-reproduces the ``Wikidata_KB`` query surface
-(knowledge_bases.py:63-203).
+with a Parquet-backed KB loaded on the driver and shared through the
+object store (:func:`broadcast_kb` — every worker on a node maps the
+same plasma copy), wrapped per worker in :class:`KBReader`, which
+reproduces the ``Wikidata_KB`` query surface (knowledge_bases.py:63-203).
+The reference's ``map_unit_dimension_to_entity`` (knowledge_bases.py:122)
+has no counterpart: nothing in the reference calls it.
+
+:func:`broadcast_kb` gives the image the reference's lifetime — its ES
+index and LMDB map are long-lived services — instead of one job's: one
+``ray.put`` per KB content per Ray session, so the per-worker state
+built from the ref (state/worker_state.py) is reused by every later job.
 
 SCALE NOTE — this in-memory image is the SMALL-KB FAST PATH.  The
 reference's production KB is a 248 GB LMDB (`data/hashmap/
@@ -20,6 +26,7 @@ annotation output (tests/test_sharded_kb.py) and are enabled with
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 
@@ -86,6 +93,54 @@ def load_kb(kb_dir: str) -> KBData:
         )
     )
     return kb
+
+
+KB_FILES = ("kb_edges.parquet", "kb_entity_meta.parquet", "kb_labels.parquet")
+
+# ObjectRefs of ended Ray sessions, held until the process exits.
+# Releasing one after a new ``ray.init`` decrements a count in the NEW
+# session's core worker.  Object ids repeat across local sessions (the
+# driver's job and put counters restart), so that can free a live object
+# of the new session; for an id it never saw, Ray logs "Tried to
+# decrease ref count for nonexistent object".  Each ended session leaves
+# at most worker_state.MAX_PER_NAME handles here; their objects died
+# with it.
+_ENDED_SESSION_REFS: list = []
+
+
+def kb_digest(kb_dir: str) -> str:
+    """blake2b over the KB files' names, sizes and bytes: equal digests
+    mean the same KB content, whatever the directory."""
+    h = hashlib.blake2b(digest_size=16)
+    for name in KB_FILES:
+        with open(os.path.join(kb_dir, name), "rb") as f:
+            h.update(f"{name}:{os.fstat(f.fileno()).st_size}\n".encode())
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+    return h.hexdigest()
+
+
+def broadcast_kb(kb_dir: str) -> "ray.ObjectRef":
+    """The KB image's ObjectRef, one per (Ray session, KB content).
+
+    The same content in the same session returns the same ref, so the
+    per-worker state keyed on the ref's hex (``get_annotate_stage`` and
+    the typing, lookup and prep-ner stages) survives across jobs.  A KB
+    rewritten under the same ``kb_dir`` hashes differently and gets a
+    new ref and fresh worker state.  The session is (node id, job id):
+    a new local cluster has a new node id and a new driver of a running
+    cluster a new job id, while the driver's worker id and job id alone
+    repeat across local ``ray.init`` calls."""
+    import ray
+
+    from . import worker_state
+
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    _ENDED_SESSION_REFS.extend(worker_state.pop_state("kb", lambda k: k[1] != session))
+    return worker_state.get_worker_state(
+        ("kb", session, kb_digest(kb_dir)), lambda: ray.put(load_kb(kb_dir))
+    )
 
 
 class KBReader:

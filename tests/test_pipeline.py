@@ -73,9 +73,9 @@ def test_resume_equals_single_run(ray_session, synth_root, tmp_path):
         triples_from_turns,
     )
     from table_annotation_ray.stages.triples import write_triples_partitioned
-    from table_annotation_ray.state.kb import load_kb
+    from table_annotation_ray.state.kb import broadcast_kb
 
-    kb_ref = ray.put(load_kb(os.path.join(synth_root, "kb")))
+    kb_ref = broadcast_kb(os.path.join(synth_root, "kb"))
     path = os.path.join(synth_root, "transcripts.parquet")
 
     def build():

@@ -265,6 +265,48 @@ def test_unigram_encode_coverage(ray_session):
     assert out.loc[1, "n_pieces"] <= 4
 
 
+def test_viterbi_unseen_character_is_own_piece():
+    """A character missing from the piece table used to leave its
+    back-pointer at 0, so the backtrack loop never ended."""
+    import signal
+
+    from table_annotation_ray.stages.unigram import _viterbi
+
+    def hang(*_):
+        raise TimeoutError("_viterbi did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert _viterbi("aé", {"a": -1.0}, 3) == ["a", "é"]
+        assert _viterbi("éab", {"a": -2.0, "b": -2.0, "ab": -1.0}, 3) == ["é", "ab"]
+        # a known piece spanning the character still wins
+        assert _viterbi("xéy", {"x": -1.0, "y": -1.0, "éy": -5.0}, 3) == ["x", "éy"]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_train_unigram_lm_zero_counts_without_warning(ray_session):
+    """Unused pieces get a NULL logprob without numpy evaluating
+    log(0) for them; used pieces keep ln(count / total) exactly."""
+    import math
+    import warnings
+
+    from table_annotation_ray.stages.unigram import train_unigram_lm
+
+    texts = ["low lower lowest", "new newer newest", "wide wider widest"] * 3
+    df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = train_unigram_lm(rd.from_pandas(df), vocab_size=24, seed_size=64,
+                               max_piece_len=5, n_iters=3, shrink=0.3)
+    zero = got["count"] == 0
+    assert zero.any() and got.loc[zero, "logprob"].isna().all()
+    total = float(got["count"].sum())
+    assert [math.log(c / total) for c in got.loc[~zero, "count"]] == got.loc[~zero, "logprob"].tolist()
+
+
 def test_kcenter_coreset_matches_numpy_greedy(ray_session):
     from table_annotation_ray.stages.clustering import kcenter_coreset
 

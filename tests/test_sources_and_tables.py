@@ -434,3 +434,25 @@ def test_read_documents_jsonl_matches_parquet(ray_session, tmp_path):
 
     back = rd.read_json(outd).to_pandas().sort_values("doc_id")
     assert len(back) == len(docs)
+
+
+def test_bucket_tables_crc32_and_null_table_id(ray_session):
+    """Table buckets are crc32(table_id) % n through the shared string
+    partition rule; a null table_id is a ValueError naming the key
+    (it used to fail as None.encode)."""
+    import zlib
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from table_annotation_ray.pipelines.table_pipeline import _bucket_tables
+
+    ids = ["t1", "films.csv", "t1", "é"]
+    ds = rd.from_arrow(pa.table({"table_id": ids, "row_idx": [0, 0, 1, 0]}))
+    out = _bucket_tables(ds, 7).to_pandas()
+    assert out["__tb_bkt"].tolist() == [zlib.crc32(t.encode()) % 7 for t in ids]
+
+    nulls = rd.from_arrow(pa.table({"table_id": pa.array(["t1", None], pa.string()),
+                                    "row_idx": [0, 0]}))
+    with pytest.raises(Exception, match="null table_id"):
+        _bucket_tables(nulls).materialize()
