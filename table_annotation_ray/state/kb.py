@@ -30,6 +30,8 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
+import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 ENTITY_RANKS = ("NORMAL", "PREFERRED", "DEPRECATED")
@@ -58,10 +60,31 @@ class KBData:
     label_rows: list[tuple[str, str, str, float]] = field(default_factory=list)
 
 
+KB_FILES = ("kb_edges.parquet", "kb_entity_meta.parquet", "kb_labels.parquet")
+
+
+def _kb_paths(kb_dir: str) -> tuple[pafs.FileSystem, dict[str, str]]:
+    """The filesystem and the path of each of :data:`KB_FILES` under
+    ``kb_dir``: an existing local path, else a URI (``file://``,
+    ``s3://``, ...), else a local path that will report it is missing —
+    the order ``pq.read_table`` resolves a path in."""
+    if not os.path.exists(kb_dir):
+        try:
+            fs, base = pafs.FileSystem.from_uri(kb_dir)
+        except pa.ArrowInvalid:
+            if "://" in kb_dir:
+                raise
+        else:
+            return fs, {name: f"{base.rstrip('/')}/{name}" for name in KB_FILES}
+    base = os.path.abspath(kb_dir)
+    return pafs.LocalFileSystem(), {name: os.path.join(base, name) for name in KB_FILES}
+
+
 def load_kb(kb_dir: str) -> KBData:
     """Load the 3 KB Parquet tables into dicts (driver-side, once)."""
+    fs, paths = _kb_paths(kb_dir)
+    edges, meta, labels = (pq.read_table(paths[name], filesystem=fs) for name in KB_FILES)
     kb = KBData()
-    edges = pq.read_table(os.path.join(kb_dir, "kb_edges.parquet"))
     for src, pid, obj, kind in zip(
         edges["src"].to_pylist(),
         edges["pid"].to_pylist(),
@@ -70,7 +93,6 @@ def load_kb(kb_dir: str) -> KBData:
     ):
         kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
 
-    meta = pq.read_table(os.path.join(kb_dir, "kb_entity_meta.parquet"))
     for ent, lab, n in zip(
         meta["entity"].to_pylist(),
         meta["en_label"].to_pylist(),
@@ -83,7 +105,6 @@ def load_kb(kb_dir: str) -> KBData:
             kb.labels[ent] = lab
         kb.num_edges[ent] = int(n)
 
-    labels = pq.read_table(os.path.join(kb_dir, "kb_labels.parquet"))
     kb.label_rows = list(
         zip(
             labels["entity"].to_pylist(),
@@ -94,8 +115,6 @@ def load_kb(kb_dir: str) -> KBData:
     )
     return kb
 
-
-KB_FILES = ("kb_edges.parquet", "kb_entity_meta.parquet", "kb_labels.parquet")
 
 # ObjectRefs of ended Ray sessions, held until the process exits.
 # Releasing one after a new ``ray.init`` decrements a count in the NEW
@@ -109,14 +128,23 @@ _ENDED_SESSION_REFS: list = []
 
 
 def kb_digest(kb_dir: str) -> str:
-    """blake2b over the KB files' names, sizes and bytes: equal digests
-    mean the same KB content, whatever the directory."""
+    """blake2b over the relative paths, sizes and bytes of every file
+    :func:`load_kb` may read (a KB table may be a directory of part
+    files): equal digests mean the same KB content, whatever the
+    directory or filesystem."""
+    fs, paths = _kb_paths(kb_dir)
     h = hashlib.blake2b(digest_size=16)
     for name in KB_FILES:
-        with open(os.path.join(kb_dir, name), "rb") as f:
-            h.update(f"{name}:{os.fstat(f.fileno()).st_size}\n".encode())
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
+        root = paths[name]
+        files = [fs.get_file_info(root)]
+        if files[0].type == pafs.FileType.Directory:
+            found = fs.get_file_info(pafs.FileSelector(root, recursive=True))
+            files = sorted((i for i in found if i.type == pafs.FileType.File), key=lambda i: i.path)
+        for info in files:
+            h.update(f"{name}{info.path[len(root):]}:{info.size}\n".encode())
+            with fs.open_input_stream(info.path) as f:
+                for chunk in iter(lambda: f.read(1 << 20), b""):
+                    h.update(chunk)
     return h.hexdigest()
 
 

@@ -83,6 +83,47 @@ def test_broadcast_kb_is_content_addressed(ray_session, synth_root, tmp_path):
     assert 0 < len(ray.get(changed).label_rows) < n_rows
 
 
+def test_kb_on_file_uri(ray_session, synth_root, tmp_path):
+    """A ``file://`` kb_dir (any pyarrow filesystem URI, like the
+    ``s3://`` of a cluster job) loads, hashes and broadcasts like the
+    plain path, and the flagship job on it gives the same triples."""
+    import pathlib
+
+    from table_annotation_ray.state.kb import broadcast_kb, kb_digest, load_kb
+
+    kb_dir = _kb_variant(os.path.join(synth_root, "kb"), str(tmp_path / "kb"), 2)
+    uri = pathlib.Path(kb_dir).as_uri()
+    assert uri.startswith("file:///")
+    assert load_kb(uri) == load_kb(kb_dir)
+    assert kb_digest(uri) == kb_digest(kb_dir)
+    ref = broadcast_kb(uri)
+    assert broadcast_kb(kb_dir) is ref
+    transcripts = os.path.join(synth_root, "transcripts.parquet")
+    assert _triples(transcripts, uri) == _triples(transcripts, kb_dir)
+
+
+def test_kb_table_as_directory_of_parts(synth_root, tmp_path):
+    """A KB table written as a directory of part files (as Spark or Ray
+    Data write it) loads like the single file, and the digest covers
+    every part: rewriting one changes it, a copy elsewhere does not."""
+    from table_annotation_ray.state.kb import kb_digest, load_kb
+
+    flat = _kb_variant(os.path.join(synth_root, "kb"), str(tmp_path / "flat"), None)
+    parted = _kb_variant(flat, str(tmp_path / "parted"), None)
+    edges = pq.read_table(os.path.join(flat, "kb_edges.parquet"))
+    os.remove(os.path.join(parted, "kb_edges.parquet"))
+    os.makedirs(os.path.join(parted, "kb_edges.parquet"))
+    half = edges.num_rows // 2
+    for i, part in enumerate((edges.slice(0, half), edges.slice(half))):
+        pq.write_table(part, os.path.join(parted, "kb_edges.parquet", f"part-{i}.parquet"))
+    assert load_kb(parted) == load_kb(flat)
+
+    digest = kb_digest(parted)
+    assert kb_digest(shutil.copytree(parted, str(tmp_path / "copy"))) == digest
+    pq.write_table(edges.slice(half + 1), os.path.join(parted, "kb_edges.parquet", "part-1.parquet"))
+    assert kb_digest(parted) != digest
+
+
 def test_worker_annotate_state_bounded_across_kbs(ray_session, synth_root, tmp_path):
     """Four jobs over three KB contents: every worker holds at most two
     ``annotate`` entries, and the job after an eviction (KB A again)
