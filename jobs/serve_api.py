@@ -54,15 +54,15 @@ class ServiceState:
 
         self.kb = load_kb(kb_dir)
         # AnnotateBucket accepts the raw KB image (no Ray object store):
-        # it builds the lookup index, NER and annotator
+        # it builds the lookup index, cell typer and annotator
         self.stage = AnnotateBucket(self.kb, DEFAULT_CONFIG)
         self._req_id = 0
         self._req_lock = threading.Lock()
         # TableAnnotator.annotate mutates per-call instance state
         # (table, cea/cta/cpa dicts), so /annotate gives each handler
         # THREAD its own TableAnnotator — the heavy state (KB image,
-        # SymSpell index, NER, caches) stays shared: index search is
-        # lru-cached/thread-safe, and ActorCaches entries are
+        # SymSpell index, cell typer, caches) stays shared: index search
+        # and the typer are lru-cached/thread-safe, and ActorCaches entries are
         # deterministic memos (a racing double-fill writes the same
         # value).  Requests run concurrently; r4's single global
         # annotate lock is gone.
@@ -108,18 +108,18 @@ class ServiceState:
         from table_annotation_ray.stages.preprocess import preprocess_table
 
         # already the reference shape: {"raw": {...}, "preprocessed": {...}}
-        return preprocess_table(table, self.stage.ner)
+        return preprocess_table(table, self.stage._type_cell)
 
     def annotate(self, table: list[list[str]]) -> dict:
         from table_annotation_ray.pipelines.table_pipeline import annotate_single
 
-        # per-thread view: shared ner/kbr/index, private annotator
+        # per-thread view: shared typer/kbr/index, private annotator
         class _View:
             pass
 
         view = _View()
         view.kbr = self.stage.kbr
-        view.ner = self.stage.ner
+        view._type_cell = self.stage._type_cell
         view.annotator = self._thread_annotator()
         payload = annotate_single(table, view)
         if payload is None:  # preprocessing filtered the table away

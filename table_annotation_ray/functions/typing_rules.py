@@ -272,7 +272,7 @@ class SpacyNER:
     or a stub in tests).  :meth:`load_default` import-tries spaCy for
     environments that have it.  Call-compatible with
     :class:`GazetteerNER` (``ner(cell) -> list[str]``), so it drops into
-    the typing stage / annotate worker unchanged — this is the
+    :func:`type_cell` unchanged — this is the
     open-domain generalization path the gazetteer (KB surface forms +
     shapes) cannot cover (VERDICT r1 "What's missing" #5)."""
 
@@ -436,10 +436,6 @@ def numerical_typing_with_unit(t: str) -> bool:
 
 def numerical_typing_without_unit(t: str) -> bool:
     return t in ("CARDINAL", "QUANTITY", "ORDINAL")
-
-
-def header_related_datatype(t: str) -> bool:
-    return t in ("String_Normal", "String_Uppercase")
 
 
 def key_column_related_datatype(t: str) -> bool:

@@ -4,7 +4,7 @@
       → filter(turn_idx < max_rows_per_conv)             [pre-shuffle skew cap]
       → map_batches(add_bucket)                          [crc32(conv_id) % B]
       → groupby(bucket).map_groups(annotate)             [task-based, per-worker
-            encoding repair → cell split → typing →       state: gazetteer NER,
+            encoding repair → cell split → typing →       state: cell typer,
             fuzzy lookup → 4-loop CEA/CTA/CPA model]      label index, KB image]
       → triples → per-block Arrow (s,p,o) max/min        [combine, fused into
             + tag part = crc32(subj) % P                   the annotate task]

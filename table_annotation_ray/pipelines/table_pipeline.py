@@ -5,7 +5,7 @@ Data stages over a Dataset of logical tables.
 A logical table is rows (table_id, row_idx, cells:list<string>) — the
 output of sources/delimited.read_tables_from_files or any equivalent.
 Per-table computations run inside ``map_groups(table_id)``-style tasks;
-per-worker state (NER gazetteer, lookup index, KB) follows the
+per-worker state (cell typer, lookup index, KB) follows the
 task-based worker-state pattern of the flagship pipeline.
 """
 
@@ -55,38 +55,33 @@ def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
     }
 
 
+def _preprocess_group(batch: pa.Table, kb_ref, seed: int) -> pa.Table:
+    """map_groups body of :func:`preprocess_tables`: the group's tables
+    typed by the worker's one cell typer for ``kb_ref``."""
+    from ..stages.preprocess import preprocess_table
+    from ..stages.typing_stage import worker_typer
+
+    typer = worker_typer(kb_ref)
+    ids, infos = [], []
+    for tid, table in _group_tables(batch).items():
+        out = preprocess_table(table, typer, seed=seed)
+        ids.append(tid)
+        infos.append(json.dumps(out["preprocessed"]))
+    return pa.table(
+        {"table_id": pa.array(ids, pa.string()), "preprocessed": pa.array(infos, pa.string())}
+    )
+
+
 def preprocess_tables(
     tables_ds: rd.Dataset, kb_ref=None, seed: int = 42
 ) -> rd.Dataset:
     """Dataset of table rows → one row per table with the preprocessing
     JSON (orientation/header/key/typing) as a string column."""
-
-    def run(batch: pa.Table) -> pa.Table:
-        from ..functions.typing_rules import GazetteerNER
-        from ..stages.preprocess import preprocess_table
-
-        def build_ner():
-            if kb_ref is None:
-                return GazetteerNER({})
-            from ..state.kb import KBReader
-
-            kb = ray.get(kb_ref) if isinstance(kb_ref, ray.ObjectRef) else kb_ref
-            return GazetteerNER(KBReader(kb).build_gazetteer())
-
-        ner = get_worker_state(("prep-ner", ref_key(kb_ref)), build_ner)
-        ids, infos = [], []
-        for tid, table in _group_tables(batch).items():
-            out = preprocess_table(table, ner, seed=seed)
-            ids.append(tid)
-            infos.append(json.dumps(out["preprocessed"]))
-        return pa.table(
-            {"table_id": pa.array(ids, pa.string()), "preprocessed": pa.array(infos, pa.string())}
-        )
-
     return (
         _bucket_tables(tables_ds)
         .groupby("__tb_bkt")
-        .map_groups(run, batch_format="pyarrow")
+        .map_groups(_preprocess_group, batch_format="pyarrow",
+                    fn_kwargs={"kb_ref": kb_ref, "seed": seed})
     )
 
 
@@ -131,7 +126,8 @@ def annotate_single(raw_table: list[list[str]], stage) -> dict | None:
     """One generic table → the reference-shaped CEA/CTA/CPA dict
     (table_annotation.py:22-148), shared by the Dataset stage below and
     the serving endpoint (jobs/serve_api.py).  ``stage`` is an
-    AnnotateBucket (holds NER, lookup index, KB reader, annotator).
+    AnnotateBucket (holds the cell typer ``_type_cell``, lookup index,
+    KB reader, annotator).
     Returns None for tables that preprocessing filters away."""
     from ..stages.preprocess import (
         detect_header,
@@ -149,16 +145,15 @@ def annotate_single(raw_table: list[list[str]], stage) -> dict | None:
     table = table_filtering(raw_table)
     if len(table) <= 1:
         return None
+    # the sample's typings are the full table's, looked up by cell
+    typings, datatypes = parse_table(table, stage._type_cell)
     sample = subsample_rows(table)
-    typings, datatypes = parse_table(sample, stage.ner)
     orientation = detect_orientation(sample, datatypes, typings)
     if orientation.orientation == "VERTICAL":
         sample = transpose(sample)
         table = transpose(table)
     header = detect_header(sample, orientation.score, typings)
     first_data_row = 1 if header.has_header else 0
-    # re-type the full (possibly transposed) table's cells
-    typings, datatypes = parse_table(table, stage.ner)
     result = stage.annotator.annotate(
         table, typings, datatypes, first_data_row=first_data_row
     )
@@ -232,7 +227,7 @@ def annotate_tables(
     def run(batch: pa.Table) -> pa.Table:
         from ..stages.annotate_stage import get_annotate_stage
 
-        # the flagship's per-worker stage: one label index and gazetteer
+        # the flagship's per-worker stage: one label index and cell typer
         # per (KB, config) in a worker that runs both pipelines
         stage = get_annotate_stage(kb_ref, cfg)
         ids, payloads = [], []

@@ -29,6 +29,9 @@ import pyarrow as pa
 
 import ray.data as rd
 
+_STORAGE_TYPES = {"integer": pa.int64(), "real": pa.float64(),
+                  "text": pa.string(), "blob": pa.binary()}
+
 
 def read_sqlite(
     path: str,
@@ -47,13 +50,21 @@ def read_sqlite(
         missing = set(cols) - set(all_cols)
         if missing:
             raise ValueError(f"unknown columns: {sorted(missing)}")
+        # a range with no rows (sparse rowids after deletes) emits an
+        # empty block typed by each column's first non-NULL value, as
+        # the populated blocks are, not a NULL-typed one
+        first = [con.execute(f'SELECT typeof("{c}") FROM "{table}" '
+                             f'WHERE "{c}" IS NOT NULL LIMIT 1').fetchone()
+                 for c in cols]
+        schema = pa.schema([(c, _STORAGE_TYPES.get(f and f[0], pa.null()))
+                            for c, f in zip(cols, first)])
         row = con.execute(f'SELECT max(rowid) FROM "{table}"').fetchone()
         max_rid = int(row[0]) if row and row[0] is not None else 0
     finally:
         con.close()
 
     if max_rid == 0:
-        return rd.from_pandas(pd.DataFrame(columns=cols))
+        return rd.from_arrow(schema.empty_table())
 
     bounds = np.linspace(0, max_rid, num=min(partitions, max_rid) + 1,
                          dtype=np.int64)
@@ -79,8 +90,9 @@ def read_sqlite(
                 )
         finally:
             c.close()
-        out = pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame(columns=cols)
+        out = pd.concat(frames, ignore_index=True)
+        if out.empty:
+            return schema.empty_table()
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return rd.from_items(ranges).map_batches(

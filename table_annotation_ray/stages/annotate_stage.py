@@ -34,7 +34,7 @@ exchange instead of 10M (pytest-pinned).
 
 The worker pulls the broadcast KB image from the object store ONCE
 (ray.put on the driver → zero extra copies per node) and builds the
-label index + gazetteer from it — the reference's ES server + LMDB
+label index + cell typer from it — the reference's ES server + LMDB
 mmap collapsed into per-worker state (ST3/ST4).
 """
 
@@ -48,6 +48,7 @@ from ..config import PipelineConfig
 from ..state.kb import KBData, KBReader
 from ..state.lookup_index import LabelIndex
 from .annotator import ActorCaches, AnnotationResult, TableAnnotator
+from .preprocess import CellTyper, parse_table
 from .sinks import str_partitions
 from .triples import conversation_outputs_to_rows
 
@@ -95,10 +96,6 @@ class AnnotateBucket:
         instead — with both tiers set, ``kb_ref`` may be None and the
         worker never holds the KB image (annotation output is identical,
         tests/test_sharded_kb.py)."""
-        from functools import lru_cache
-
-        from ..functions.typing_rules import GazetteerNER, type_cell
-
         self.cfg = config or PipelineConfig()
         kb: KBData | None = None
         if kb_ref is not None:
@@ -128,11 +125,7 @@ class AnnotateBucket:
         )
         # the shuffle carries only primitive columns; cells are typed
         # HERE, memoized per worker
-        self.ner = GazetteerNER(self.kbr.build_gazetteer())
-        ner = self.ner
-        self._type_cell = lru_cache(maxsize=262_144)(
-            lambda cell: tuple(map(tuple, type_cell(cell, ner)))
-        )
+        self._type_cell = CellTyper(self.kbr.build_gazetteer())
 
     def _annotate_rows(
         self, rows: list[tuple[int, int, str]]
@@ -155,17 +148,11 @@ class AnnotateBucket:
         n_cols = max(r[1] for r in kept) + 1
         table = [[""] * n_cols for _ in range(n_rows)]
         cells: dict[tuple[int, int], str] = {}
-        typings: dict[str, list[str]] = {}
-        datatypes: dict[str, list[str]] = {}
         for turn, slot, mention in rows:
             cells[(turn, slot)] = mention
-            if turn >= cap:
-                continue  # per-conversation cap (see module docstring)
-            table[turn][slot] = mention
-            if mention not in typings:
-                typ, dt = self._type_cell(mention)
-                typings[mention] = list(typ)
-                datatypes[mention] = list(dt)
+            if turn < cap:  # per-conversation cap (see module docstring)
+                table[turn][slot] = mention
+        typings, datatypes = parse_table(table, self._type_cell)
         return self.annotator.annotate(table, typings, datatypes), cells
 
     def annotate_turns_table(self, bucket: pa.Table) -> pa.Table:

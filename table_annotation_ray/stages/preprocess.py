@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..functions.text import fix_encoding
 from ..functions.typing_rules import (
     GazetteerNER,
-    header_related_datatype,
     is_concept,
     key_column_related_datatype,
     type_cell,
@@ -102,18 +102,42 @@ def subsample_rows(table: list[list[str]], limit: int = 400, seed: int = 42) -> 
 # typing of the unique cell set (utils.py:221-224)
 # ---------------------------------------------------------------------------
 
+# entries in a CellTyper's memo (bounds a long-lived worker's memory)
+TYPER_CACHE_SIZE = 262_144
+
+
+class CellTyper:
+    """``typer(cell) -> (typings, datatypes)``: :func:`type_cell` with a
+    gazetteer NER built once from ``gazetteer`` and a bounded memo, so a
+    cell string is typed once per worker (the reference types each
+    unique cell once).  The memo returns tuples, never a mutable object
+    (callers build their own lists), and is a thread-safe
+    ``lru_cache``, so serve threads share one."""
+
+    def __init__(self, gazetteer: dict[str, str]):
+        ner = GazetteerNER(gazetteer)
+        self._memo = lru_cache(maxsize=TYPER_CACHE_SIZE)(
+            lambda cell: tuple(map(tuple, type_cell(cell, ner))))
+        self.cache_info = self._memo.cache_info
+
+    def __call__(self, cell: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return self._memo(cell)
+
+
 def parse_table(
-    table: list[list[str]], ner: GazetteerNER
+    table: list[list[str]], typer: CellTyper
 ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Typings and datatypes of the table's cells; a cell that types to
+    nothing is left out (readers tell absent from ``[]``)."""
     typings: dict[str, list[str]] = {}
     datatypes: dict[str, list[str]] = {}
     for row in table:
         for cell in row:
             if cell not in typings:
-                ty, dt = type_cell(cell, ner)
+                ty, dt = typer(cell)
                 if ty:
-                    typings[cell] = ty
-                    datatypes[cell] = dt
+                    typings[cell] = list(ty)
+                    datatypes[cell] = list(dt)
     return typings, datatypes
 
 
@@ -411,7 +435,7 @@ def re_align_short_row(
 
 def preprocess_table(
     raw_table: list[list[str]],
-    ner: GazetteerNER,
+    typer: CellTyper,
     seed: int = 42,
 ) -> dict:
     """Full preprocessing; output mirrors the reference JSON shape
@@ -421,7 +445,7 @@ def preprocess_table(
     if len(table) <= 1:
         return out
     sample = subsample_rows(table, 400, seed)
-    typings, datatypes = parse_table(sample, ner)
+    typings, datatypes = parse_table(sample, typer)
     orientation = detect_orientation(sample, datatypes, typings)
     if orientation.orientation == "VERTICAL":
         sample = transpose(sample)

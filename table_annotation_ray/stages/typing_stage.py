@@ -1,69 +1,54 @@
-"""Stage 2 — per-cell typing (actor-pool map_batches).
+"""Stage 2 — per-cell typing (task-based map_batches).
 
 Reference computation: ``text_parser`` over the set of unique cell
-strings (`prp_scripts/utils.py:64-112`, dedup at :221-224).  Our stage
-is a callable CLASS for ``map_batches(..., concurrency=N)``: the
-gazetteer NER (the spaCy stand-in, SURVEY §2.3 ST1) is built ONCE per
-actor in ``__init__`` from the broadcast KB; ``__call__`` types each
-batch with a per-batch unique-string dedup plus a per-actor LRU so
-repeated mentions across batches cost a dict hit.
+strings (`prp_scripts/utils.py:64-112`, dedup at :221-224).
+:func:`typing_batch` types each batch with a per-batch unique-string
+dedup; the cells go through the worker's one
+:class:`~.preprocess.CellTyper` (:func:`worker_typer`), whose gazetteer
+NER (the spaCy stand-in, SURVEY §2.3 ST1) is built once per worker
+process from the broadcast KB and whose memo makes a mention repeated
+across batches cost a dict hit.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 
-from ..functions.typing_rules import GazetteerNER, type_cell
+from .preprocess import CellTyper
 
 
-class TypingStage:
-    """mentions(conv_id, turn_idx, col_slot, mention) → + typing, datatype."""
+def worker_typer(kb_ref) -> CellTyper:
+    """The worker process's :class:`CellTyper` for ``kb_ref`` (the
+    broadcast KB, or None for an empty gazetteer), built once and shared
+    by every stage in the process that types cells against that KB
+    (state/worker_state.py)."""
+    from ..state.worker_state import get_worker_state, ref_key
 
-    def __init__(self, kb_ref=None, gazetteer: dict[str, str] | None = None,
-                 cache_size: int = 262_144):
-        if gazetteer is None and kb_ref is not None:
-            from ..state.kb import KBReader
+    def build() -> CellTyper:
+        if kb_ref is None:
+            return CellTyper({})
+        from ..state.kb import KBReader
 
-            kb = ray.get(kb_ref) if isinstance(kb_ref, ray.ObjectRef) else kb_ref
-            gazetteer = KBReader(kb).build_gazetteer()
-        self.ner = GazetteerNER(gazetteer or {})
-        self._type_cached = lru_cache(maxsize=cache_size)(self._type_one)
+        kb = ray.get(kb_ref) if isinstance(kb_ref, ray.ObjectRef) else kb_ref
+        return CellTyper(KBReader(kb).build_gazetteer())
 
-    def _type_one(self, cell: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        typ, dt = type_cell(cell, self.ner)
-        return tuple(typ), tuple(dt)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mentions = batch["mention"].combine_chunks()
-        # dedup within the batch (reference dedups per table, utils.py:221-224)
-        uniq = pc.unique(mentions)
-        mapping: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        for cell in uniq.to_pylist():
-            if cell is not None:
-                mapping[cell] = self._type_cached(cell)
-        typings = []
-        datatypes = []
-        for cell in mentions.to_pylist():
-            typ, dt = mapping.get(cell, ((), ()))
-            typings.append(list(typ))
-            datatypes.append(list(dt))
-        return batch.append_column(
-            "typing", pa.array(typings, pa.list_(pa.string()))
-        ).append_column("datatype", pa.array(datatypes, pa.list_(pa.string())))
+    return get_worker_state(("typer", ref_key(kb_ref)), build)
 
 
 def typing_batch(batch: pa.Table, kb_ref) -> pa.Table:
-    """Task-based variant: same computation as :class:`TypingStage`, but
-    the stage state is cached per WORKER PROCESS (state/worker_state.py)
-    so it runs as elastic tasks instead of a fixed actor pool."""
-    from ..state.worker_state import get_worker_state, ref_key
-
-    stage = get_worker_state(
-        ("typing", ref_key(kb_ref)), lambda: TypingStage(kb_ref=kb_ref)
-    )
-    return stage(batch)
+    """mentions(conv_id, turn_idx, col_slot, mention) → + typing, datatype."""
+    typer = worker_typer(kb_ref)
+    mentions = batch["mention"].combine_chunks()
+    # dedup within the batch (reference dedups per table, utils.py:221-224)
+    mapping = {
+        cell: typer(cell)
+        for cell in pc.unique(mentions).to_pylist()
+        if cell is not None
+    }
+    typed = [mapping.get(cell, ((), ())) for cell in mentions.to_pylist()]
+    return batch.append_column(
+        "typing", pa.array([t for t, _ in typed], pa.list_(pa.string()))
+    ).append_column("datatype", pa.array([d for _, d in typed], pa.list_(pa.string())))

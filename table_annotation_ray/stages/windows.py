@@ -2552,9 +2552,13 @@ def kendall_by_key(
         rank = pos - np.repeat(starts, counts)
         rem = np.repeat(counts, counts) - rank - 1
         ii = np.repeat(pos, rem)
+        try:
+            kt = pa.from_numpy_dtype(g[key_col].dtype)
+        except (pa.ArrowNotImplementedError, TypeError):
+            kt = pa.string()
         if len(ii) == 0:
             return pa.table(
-                {key_col: pa.array([], pa.int64()),
+                {key_col: pa.array([], kt),
                  "n": pa.array([], pa.int64()),
                  "concordant": pa.array([], pa.int64()),
                  "discordant": pa.array([], pa.int64()),
@@ -2580,10 +2584,6 @@ def kendall_by_key(
         tot = (n * (n - 1) // 2).astype(np.float64)
         c = agg["c"].to_numpy(dtype=np.int64)
         dd = agg["dd"].to_numpy(dtype=np.int64)
-        try:
-            kt = pa.from_numpy_dtype(g[key_col].dtype)
-        except (pa.ArrowNotImplementedError, TypeError):
-            kt = pa.string()
         return pa.table(
             {
                 key_col: pa.array(keys_np, kt),

@@ -153,7 +153,7 @@ def broadcast_kb(kb_dir: str) -> "ray.ObjectRef":
 
     The same content in the same session returns the same ref, so the
     per-worker state keyed on the ref's hex (``get_annotate_stage`` and
-    the typing, lookup and prep-ner stages) survives across jobs.  A KB
+    the ``typer`` and ``lookup`` entries) survives across jobs.  A KB
     rewritten under the same ``kb_dir`` hashes differently and gets a
     new ref and fresh worker state.  The session is (node id, job id):
     a new local cluster has a new node id and a new driver of a running

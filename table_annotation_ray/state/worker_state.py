@@ -12,7 +12,7 @@ loading (spacy_ner_parser.py:30) while scheduling stays fully elastic.
 State is keyed by (stage name, ref key, ...), where the ref key is the
 hex of a broadcast ObjectRef.  The KB broadcast is content-addressed
 (state/kb.py::broadcast_kb: one ObjectRef per KB content per Ray
-session), so a worker's ``annotate``/``typing``/``lookup`` state is
+session), so a worker's ``annotate``/``typer``/``lookup`` state is
 built once per session and reused by every later job over the same KB;
 a changed KB gets a new ref and so a fresh state.  The driver is a
 process too: ``broadcast_kb`` keeps its refs in this same cache.

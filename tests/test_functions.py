@@ -427,7 +427,7 @@ def test_spacy_adapter_matches_reference_loop_and_goldens():
 
 def test_spacy_adapter_call_compatible_with_gazetteer():
     """ner(cell) -> list[str] single-cell protocol: SpacyNER drops into
-    the typing stage anywhere GazetteerNER does."""
+    type_cell anywhere GazetteerNER does."""
     from table_annotation_ray.functions.typing_rules import SpacyNER
 
     ner = SpacyNER(_ReplayPipeline(_RECORDED_NER))

@@ -124,6 +124,48 @@ def test_kb_table_as_directory_of_parts(synth_root, tmp_path):
     assert kb_digest(parted) != digest
 
 
+def test_one_cell_typer_per_kb(ray_session, synth_root, tmp_path, monkeypatch):
+    """In one process and for one broadcast KB, the typing stage and the
+    table-preprocess body type cells with the same CellTyper, whose
+    gazetteer is built once; a rewritten KB gets a new typer."""
+    import pyarrow as pa
+
+    from table_annotation_ray.pipelines.table_pipeline import _preprocess_group
+    from table_annotation_ray.stages.preprocess import CellTyper
+    from table_annotation_ray.stages.typing_stage import typing_batch
+    from table_annotation_ray.state import worker_state
+    from table_annotation_ray.state.kb import KBReader, broadcast_kb
+
+    monkeypatch.setattr(worker_state, "_STATE", OrderedDict())
+    builds, typers = [], set()
+    build_gazetteer, call = KBReader.build_gazetteer, CellTyper.__call__
+    monkeypatch.setattr(KBReader, "build_gazetteer",
+                        lambda self: builds.append(1) or build_gazetteer(self))
+    monkeypatch.setattr(CellTyper, "__call__",
+                        lambda self, cell: typers.add(self) or call(self, cell))
+    mentions = pa.table({"mention": ["Paris", "1994", None]})
+    tables = pa.table({"table_id": ["t", "t"], "row_idx": [0, 1],
+                       "cells": [["city", "year"], ["Paris", "1994"]]})
+
+    def both(ref):
+        typing_batch(mentions, ref)
+        _preprocess_group(tables, ref, 42)
+
+    src = os.path.join(synth_root, "kb")
+    kb_dir = _kb_variant(src, str(tmp_path / "kb"), None)
+    ref = broadcast_kb(kb_dir)
+    both(ref)
+    assert (len(builds), len(typers)) == (1, 1)
+    both(broadcast_kb(kb_dir))  # same content, same ref: nothing rebuilt
+    assert (len(builds), len(typers)) == (1, 1)
+
+    _kb_variant(src, kb_dir, 0)
+    changed = broadcast_kb(kb_dir)
+    assert changed.hex() != ref.hex()
+    both(changed)
+    assert (len(builds), len(typers)) == (2, 2)
+
+
 def test_worker_annotate_state_bounded_across_kbs(ray_session, synth_root, tmp_path):
     """Four jobs over three KB contents: every worker holds at most two
     ``annotate`` entries, and the job after an eviction (KB A again)

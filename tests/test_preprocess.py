@@ -1,12 +1,17 @@
 """Generic-table preprocessing parity (stages/preprocess.py) on the
 reference's de-facto fixtures (README examples, SURVEY.md §5)."""
 
-import pytest
+import signal
+from contextlib import contextmanager
 
-from table_annotation_ray.functions.typing_rules import GazetteerNER
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from table_annotation_ray.functions.typing_rules import GazetteerNER, type_cell
 from table_annotation_ray.stages import preprocess as pp
 
-NER = GazetteerNER(
+TYPER = pp.CellTyper(
     {
         "paris": "GPE", "berlin": "GPE", "madrid": "GPE", "rome": "GPE",
         "france": "GPE", "germany": "GPE", "spain": "GPE", "italy": "GPE",
@@ -23,7 +28,7 @@ CITIES = [
 
 
 def test_cities_horizontal_with_header():
-    out = pp.preprocess_table(CITIES, NER)["preprocessed"]
+    out = pp.preprocess_table(CITIES, TYPER)["preprocessed"]
     assert out["tableOrientation"]["orientationLabel"] == "HORIZONTAL"
     assert out["headerInfo"]["hasHeader"] is True
     assert out["headerInfo"]["headerLabel"] == ["city", "country"]
@@ -35,7 +40,7 @@ def test_two_row_table_is_horizontal_reference_quirk():
     # tables with <=2 rows or <=2 cols skip homogeneity and default to
     # HORIZONTAL 0.1 (table_info_extraction_modules.py:117-120)
     vertical = pp.transpose(CITIES)  # 2 rows x 5 cols
-    out = pp.preprocess_table(vertical, NER)["preprocessed"]
+    out = pp.preprocess_table(vertical, TYPER)["preprocessed"]
     assert out["tableOrientation"]["orientationLabel"] == "HORIZONTAL"
     assert out["tableOrientation"]["orientationScore"] == 0.1
 
@@ -51,14 +56,14 @@ CITIES3 = [
 
 def test_transposed_cities_detected_vertical():
     vertical = pp.transpose(CITIES3)  # 3 attribute rows x 5 record cols
-    out = pp.preprocess_table(vertical, NER)["preprocessed"]
+    out = pp.preprocess_table(vertical, TYPER)["preprocessed"]
     assert out["tableOrientation"]["orientationLabel"] == "VERTICAL"
     # revised table is re-transposed back to horizontal
     assert out["tableDataRevised"][0] == ["city", "country", "founded"]
 
 
 def test_single_row_table_returns_empty_preprocessed():
-    out = pp.preprocess_table([["United States", "2015", "FC Kansas City"]], NER)
+    out = pp.preprocess_table([["United States", "2015", "FC Kansas City"]], TYPER)
     assert out["preprocessed"] == {}
 
 
@@ -92,7 +97,7 @@ def test_orientation_long_thin():
 
 
 def test_key_column_detection_unique_first_col():
-    out = pp.preprocess_table(CITIES, NER)["preprocessed"]
+    out = pp.preprocess_table(CITIES, TYPER)["preprocessed"]
     assert out["primaryKeyInfo"]["hasPrimaryKey"] is True
     assert out["primaryKeyInfo"]["primaryKeyPosition"] == 0
 
@@ -123,3 +128,67 @@ def test_realign_short_row():
         1: [{"type": "CARDINAL", "score": 1.0}],
     }
     assert pp.re_align_short_row(["12"], dts, col_dts2) == ["12"]
+
+
+# ---------------------------------------------------------------------------
+# CellTyper: the memoized typer against the uncached type_cell loop
+# ---------------------------------------------------------------------------
+
+_GAZ = {"paris": "GPE", "john travolta": "PERSON", "orange labs": "ORG",
+        "new york city": "GPE"}
+_DIFF_TYPER = pp.CellTyper(_GAZ)  # shared: later examples hit the memo
+_CELLS = st.one_of(
+    st.sampled_from([
+        "", "   ", "---", "é", "x" * 71, "a long cell " * 7,
+        "2015-06-01", "1994-12-31", "June 1994", "12 March 2001", "1994",
+        "Paris", "John Travolta", "New York City", "Orange Labs", "paris 2024",
+        "+33 1 23 45 67 89", "12 kg", "3.5%", "N/A",
+    ]),
+    st.text(max_size=12),
+)
+
+
+def _oracle(table, ner):
+    """The uncached loop parse_table replaced: type_cell per unique cell,
+    typed cells only."""
+    typings, datatypes = {}, {}
+    for row in table:
+        for cell in row:
+            if cell not in typings:
+                ty, dt = type_cell(cell, ner)
+                if ty:
+                    typings[cell], datatypes[cell] = ty, dt
+    return typings, datatypes
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def hang(signum, frame):
+        raise TimeoutError(f"no result within {seconds}s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=6))
+def test_cell_typer_matches_uncached_type_cell(table):
+    ner = GazetteerNER(_GAZ)
+    with _deadline(20):
+        want = _oracle(table, ner)
+        got = pp.parse_table(table, _DIFF_TYPER)
+        assert got == want
+        # untypable cells stay absent (re_align_short_row tells absent from [])
+        for cell in {c for row in table for c in row}:
+            assert (cell in got[0]) == bool(type_cell(cell, ner)[0])
+        # the lists handed out are copies: mutating them leaves the memo
+        for typs in got[0].values():
+            typs.append("MUTATED")
+        for dts in got[1].values():
+            dts.clear()
+        assert pp.parse_table(table, _DIFF_TYPER) == want

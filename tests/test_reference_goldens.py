@@ -76,9 +76,7 @@ def test_key_column_score_matches_readme():
 def test_full_output_shape_matches_reference():
     """End-to-end shape of preprocess_table equals the reference JSON
     schema (table_preprocessing.py:81-98)."""
-    from table_annotation_ray.functions.typing_rules import GazetteerNER
-
-    out = pp.preprocess_table(CITIES, GazetteerNER({}))
+    out = pp.preprocess_table(CITIES, pp.CellTyper({}))
     pre = out["preprocessed"]
     assert set(pre) == {
         "tableDataRevised", "tableOrientation", "headerInfo",

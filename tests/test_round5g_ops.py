@@ -887,6 +887,33 @@ def test_sqlite_round_trip(ray_session, tmp_path):
         write_sqlite(rd.from_pandas(df.head(1)), db, "items", if_exists="fail")
 
 
+def test_sqlite_sparse_rowids_typed_empty_block(ray_session, tmp_path):
+    """After deletes, a rowid range with no rows reads as an empty block
+    typed like the populated blocks (declared or not), so it
+    concatenates with them."""
+    import sqlite3
+
+    import ray
+
+    from table_annotation_ray.sources.sqlite import read_sqlite
+
+    db = str(tmp_path / "sparse.db")
+    con = sqlite3.connect(db)
+    con.execute("CREATE TABLE items (id INTEGER, name TEXT, v REAL, w)")
+    con.executemany("INSERT INTO items VALUES (?, ?, ?, ?)",
+                    [(i, f"n{i % 3}", i * 0.5, i) for i in range(1, 101)])
+    con.execute("DELETE FROM items WHERE rowid > 40 AND rowid <= 60")
+    con.commit()
+    con.close()
+    blocks = ray.get(read_sqlite(db, "items", partitions=5).to_arrow_refs())
+    assert 0 in {b.num_rows for b in blocks}  # the emptied range
+    want = pa.schema([("id", pa.int64()), ("name", pa.string()),
+                      ("v", pa.float64()), ("w", pa.int64())])
+    assert all(b.schema.remove_metadata() == want for b in blocks)
+    ids = pa.concat_tables(blocks)["id"].to_pylist()
+    assert sorted(ids) == [i for i in range(1, 101) if not 40 < i <= 60]
+
+
 def test_read_parquet_evolved(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
@@ -1440,6 +1467,25 @@ def test_kendall_by_key_vs_scipy_free_ref(ray_session):
         assert out.loc[k, "concordant"] == c
         assert out.loc[k, "discordant"] == d
         assert out.loc[k, "tau"] == tau
+
+
+def test_kendall_by_key_string_keys_singleton_bucket(ray_session):
+    """A bucket holding only singleton keys emits its empty block with
+    the key's own type: with every key a singleton, the output is still
+    string-keyed and concatenates with a populated run's blocks."""
+    import ray
+
+    from table_annotation_ray.stages.windows import kendall_by_key
+
+    singles = pd.DataFrame({"k": ["a", "b", "c"], "t": 0, "v": [1.0, 2.0, 3.0]})
+    pairs = pd.DataFrame({"k": ["x"] * 4, "t": np.arange(4), "v": [1.0, 3.0, 2.0, 4.0]})
+    empty, full = (kendall_by_key(rd.from_pandas(df), "k", ["t"], "v", num_buckets=8)
+                   for df in (singles, pairs))
+    blocks = ray.get(empty.to_arrow_refs()) + ray.get(full.to_arrow_refs())
+    assert {b.schema.field("k").type for b in blocks} == {pa.string()}
+    out = pa.concat_tables(blocks).to_pylist()
+    assert out == [{"k": "x", "n": 4, "concordant": 5, "discordant": 1,
+                    "tau": 4 / 6}]
 
 
 def test_markov_removal_hand_chain(ray_session):
