@@ -9283,7 +9283,7 @@ def oracle_sql() -> dict[str, str]:
         "zorder_layout": """
             WITH q AS (
                 SELECT event_id, user_id % 1024 AS uid,
-                       (CAST(epoch(ts) AS BIGINT) // 3600) % 1024 AS hr
+                       (epoch_us(ts) // 3600000000) % 1024 AS hr
                 FROM events
             ),
             z AS (SELECT event_id, uid, hr,
@@ -11084,7 +11084,7 @@ def oracle_sql() -> dict[str, str]:
         "zorder_pruning": """
             WITH q AS (
                 SELECT event_id, user_id % 1024 AS uid,
-                       (CAST(epoch(ts) AS BIGINT) // 3600) % 1024 AS hr
+                       (epoch_us(ts) // 3600000000) % 1024 AS hr
                 FROM events
             ),
             z AS (SELECT event_id, uid, hr, (((uid >> 0) & 1) << 0) + (((hr >> 0) & 1) << 1) + (((uid >> 1) & 1) << 2) + (((hr >> 1) & 1) << 3) + (((uid >> 2) & 1) << 4) + (((hr >> 2) & 1) << 5) + (((uid >> 3) & 1) << 6) + (((hr >> 3) & 1) << 7) + (((uid >> 4) & 1) << 8) + (((hr >> 4) & 1) << 9) + (((uid >> 5) & 1) << 10) + (((hr >> 5) & 1) << 11) + (((uid >> 6) & 1) << 12) + (((hr >> 6) & 1) << 13) + (((uid >> 7) & 1) << 14) + (((hr >> 7) & 1) << 15) + (((uid >> 8) & 1) << 16) + (((hr >> 8) & 1) << 17) + (((uid >> 9) & 1) << 18) + (((hr >> 9) & 1) << 19) AS zkey

@@ -8,8 +8,10 @@
             fuzzy lookup → 4-loop CEA/CTA/CPA model]      label index, KB image]
       → triples → per-block Arrow (s,p,o) max/min        [combine, fused into
             + tag part = crc32(subj) % P                   the annotate task]
-      → sort(part, fixed boundaries) → per-partition     [one exchange, keyed on
-            (s,p,o) max/min reduce                         the sink's own rule]
+      → sort(part, R = min(P, max(2, CPUs)) contiguous   [one exchange, keyed on
+            part ranges) → per-block (s,p,o) max/min       the sink's own rule;
+            reduce                                         fan-out sized to the
+                                                           cluster, not the sink]
       → write hash(subj)-partitioned Parquet + manifests [resumable; one file
                                                           per partition]
 
@@ -28,8 +30,8 @@ worker); no stage materializes the full dataset; the only all-to-alls
 are the bucket groupby (key cardinality = num_buckets) and the triple
 dedup, whose exchange is the sink's hash(subj) partitioning: every copy
 of a triple shares its subj, so deduplicating per sink partition is
-exact and each partition arrives at the sink as one block.  See
-docs/SCALING.md for the 100 TB arithmetic.
+exact and each partition arrives at the sink whole, inside one
+reducer's block.  See docs/SCALING.md for the 100 TB arithmetic.
 
 Nothing here calls ray.init() — the caller owns the session.
 """

@@ -71,8 +71,22 @@ _row = st.tuples(
             [("s1", "p", "o1", "c2", 0.25)]],
     num_partitions=16,
 )
+@example(  # more input blocks than partitions, every partition hit twice
+    blocks=[[(s, "p", "o1", c, 0.5)] for c in ("c1", "c2")
+            for s in ("s1", "s2", "é", "s3", "s4", "s7")] + [[]],
+    num_partitions=3,
+)
+@example(  # subjects in 12 of 16 partitions: more partitions than reducers
+    blocks=[[(f"s{i}", p, "o1", "c1", 1.0) for i in range(20) for p in ("p", "P31")],
+            [(f"s{i}", "p", "o2", "c2", 0.25) for i in range(0, 20, 3)]],
+    num_partitions=16,
+)
 def test_dedup_triples_matches_python_reduce(ray_session, blocks, num_partitions):
+    """Each sink partition lies whole in one output block, sorted by
+    (subj, pred, obj), and the exchange runs at most
+    ``min(P, max(2, CPUs))`` reducers, not one per partition."""
     import pandas as pd
+    import ray
     import ray.data as rd
 
     from table_annotation_ray.stages.triples import _TRIPLE_SCHEMA, dedup_triples
@@ -82,18 +96,60 @@ def test_dedup_triples_matches_python_reduce(ray_session, blocks, num_partitions
               else pd.DataFrame(b, columns=_COLS) for b in blocks]
     out = dedup_triples(rd.from_pandas(frames), num_partitions)
     got = set()
-    for block in out.iter_batches(batch_size=None, batch_format="pyarrow"):
+    block_of_part = {}
+    n_blocks = 0
+    for i, block in enumerate(out.iter_batches(batch_size=None, batch_format="pyarrow")):
         if block.num_rows == 0:
             continue
+        n_blocks += 1
         assert block.schema == _TRIPLE_SCHEMA
-        parts = {zlib.crc32(s.encode()) % num_partitions for s in block["subj"].to_pylist()}
-        assert len(parts) == 1, parts
-        keys = list(zip(*(block[k].to_pylist() for k in ("subj", "pred", "obj"))))
-        assert keys == sorted(keys)
-        rows = set(zip(*(block[k].to_pylist() for k in _TRIPLE_SCHEMA.names)))
-        assert not rows & got
-        got |= rows
+        rows = list(zip(*(block[k].to_pylist() for k in _TRIPLE_SCHEMA.names)))
+        by_part = {}
+        for row in rows:
+            by_part.setdefault(zlib.crc32(row[0].encode()) % num_partitions, []).append(row[:3])
+        for part, keys in by_part.items():
+            assert block_of_part.setdefault(part, i) == i, (part, "split over blocks")
+            assert keys == sorted(keys), part
+        assert not set(rows) & got
+        got |= set(rows)
     assert got == _python_dedup([r for b in blocks for r in b])
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus == 4  # the session fixture's; 16 partitions -> 4 reducers
+    assert n_blocks <= min(num_partitions, max(2, cpus)), n_blocks
+
+
+def test_dedup_logs_no_schema_divergence(ray_session, synth_root, tmp_path):
+    """The dedup exchange emits no schema-less empty blocks on the 60-
+    conversation fixture, whose triples miss 3 of the 16 sink partitions:
+    Ray logs each such block as a schema change."""
+    import logging
+
+    from table_annotation_ray.pipelines.kg_pipeline import run_kg_pipeline
+
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    logger = logging.getLogger("ray.data")
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        out = str(tmp_path / "triples")
+        run_kg_pipeline(os.path.join(synth_root, "transcripts.parquet"),
+                        os.path.join(synth_root, "kb"), out_dir=out)
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+    with open(os.path.join(out, "_MANIFEST.json")) as f:
+        assert len(json.load(f)["partitions"]) == 13  # 3 partitions get no triple
+    diverged = [m for m in handler.messages
+                if "Operator produced a RefBundle with a different schema" in m]
+    assert diverged == []
 
 
 def test_sink_writes_one_file_per_partition(ray_session, synth_root, tmp_path):

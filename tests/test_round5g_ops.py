@@ -1,6 +1,8 @@
 """Round-5 continuation wave: theilsen_by_key, weighted_median_by_key,
 jaccard_links, seasonal_mase, fuzzy_pairs_1del."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -1513,3 +1515,38 @@ def test_markov_removal_hand_chain(ray_session):
     # A's removal cannot eliminate conversions (B->buy path survives)
     assert out.loc["A", "removal_effect"] < 1.0
     assert out.loc["B", "share"] > out.loc["A", "share"]
+
+
+def test_zorder_oracles_floor_subsecond_hours(ray_session, tmp_path):
+    """The zorder oracles bucket ``ts`` into epoch hours the way the
+    engine does (``datetime64[h]``, a floor): an event 0.4 s before an
+    hour boundary stays in the earlier hour.  A rounding CAST of
+    ``epoch(ts)`` moves it into the next hour — here from hr 299, below
+    the pruning rectangle's [300, 400], into it."""
+    import duckdb
+
+    import __ray_entry__ as e
+
+    hour0 = pd.Timestamp(0) + pd.Timedelta(hours=1024 * 462 + 299)
+    events = pd.DataFrame(
+        {
+            "event_id": np.arange(4, dtype=np.int64),
+            "user_id": np.array([150, 151, 1024 + 160, 170], dtype=np.int64),
+            "ts": [hour0 + pd.Timedelta(minutes=59, seconds=59.6),
+                   hour0 + pd.Timedelta(seconds=0.4),
+                   hour0 + pd.Timedelta(minutes=30),
+                   hour0 - pd.Timedelta(hours=2, minutes=59, seconds=59.5)],
+        }
+    )
+    events["ts"] = events["ts"].astype("datetime64[us]")
+    sf_dir = str(tmp_path)
+    events.to_parquet(os.path.join(sf_dir, "events.parquet"), index=False)
+    con = duckdb.connect()
+    con.register("events", events)
+    ours = {}
+    for name in ("zorder_layout", "zorder_pruning"):
+        ours[name] = e.queries()[name](sf_dir)
+        theirs = con.execute(e.oracle_sql()[name]).df()
+        assert list(ours[name].columns) == list(theirs.columns), name
+        assert ours[name].astype(str).values.tolist() == theirs.astype(str).values.tolist(), name
+    assert ours["zorder_layout"][["min_hr", "max_hr"]].values.tolist() == [[296, 299]]
