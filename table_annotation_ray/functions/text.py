@@ -55,7 +55,11 @@ def fix_encoding(cell: str) -> str:
        ``\\uXXXX`` / ``\\xXX`` escapes left by bad serializers;
     2. mojibake repair (ftfy-equivalent core fix).
     Falls back to the repair-only path when step 1 fails.
+    An ASCII cell without a backslash comes back unchanged from both
+    steps, so it returns at once.
     """
+    if cell.isascii() and "\\" not in cell:
+        return cell
     import warnings
 
     try:

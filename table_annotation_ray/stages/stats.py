@@ -1996,6 +1996,45 @@ def simpson_check(
     return out.sort_values(segment_col).reset_index(drop=True)
 
 
+def _conformal_residuals(
+    batch: pa.Table,
+    group_col: str,
+    id_col: str,
+    val_col: str,
+    mean_pred: dict,
+    num_buckets: int,
+) -> pa.Table:
+    """Calibration rows (odd ids) of one block with a fitted group:
+    ``(group, resid, rid, __cf_bkt)``, the group typed as in ``batch``
+    even when no row survives (a block of even ids alone)."""
+    schema = pa.schema([
+        (group_col, batch.schema.field(group_col).type),
+        ("resid", pa.float64()),
+        ("rid", pa.int64()),
+        ("__cf_bkt", pa.int64()),
+    ])
+    b = batch.to_pandas()
+    b = b[(b[id_col].to_numpy(dtype=np.int64) % 2) == 1]
+    m = b[group_col].map(mean_pred)
+    keep = m.notna().to_numpy()
+    b = b[keep]
+    out = pd.DataFrame(
+        {
+            group_col: b[group_col],
+            "resid": np.abs(
+                b[val_col].to_numpy(dtype=np.float64)
+                - m[keep].to_numpy(dtype=np.float64)
+            ),
+            "rid": b[id_col].to_numpy(dtype=np.int64),
+        }
+    )
+    out["__cf_bkt"] = (
+        pd.util.hash_pandas_object(out[group_col], index=False).to_numpy()
+        % np.uint64(num_buckets)
+    ).astype(np.int64)
+    return pa.Table.from_pandas(out, schema=schema, preserve_index=False)
+
+
 def conformal_intervals(
     ds: rd.Dataset,
     group_col: str,
@@ -2046,32 +2085,6 @@ def conformal_intervals(
                             means["n_train"])
         if n > 0
     }
-    nb = np.uint64(num_buckets)
-    mp_items = mean_pred  # closure broadcast (group-bounded)
-
-    def tag2(b: pd.DataFrame) -> pa.Table:
-        odd = (b[id_col].to_numpy(dtype=np.int64) % 2) == 1
-        b = b[odd]
-        m = b[group_col].map(mp_items)
-        keep = m.notna().to_numpy()
-        b = b[keep]
-        r = np.abs(
-            b[val_col].to_numpy(dtype=np.float64)
-            - m[keep].to_numpy(dtype=np.float64)
-        )
-        out = pd.DataFrame(
-            {
-                group_col: b[group_col],
-                "resid": r,
-                "rid": b[id_col].to_numpy(dtype=np.int64),
-            }
-        )
-        out["__cf_bkt"] = (
-            pd.util.hash_pandas_object(out[group_col], index=False)
-            .to_numpy() % nb
-        ).astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
     def pick(g: pd.DataFrame) -> pa.Table:
         g = (
             g.drop(columns="__cf_bkt")
@@ -2095,7 +2108,10 @@ def conformal_intervals(
         )
 
     picked = (
-        ds.map_batches(tag2, batch_format="pandas")
+        ds.map_batches(
+            _conformal_residuals, batch_format="pyarrow",
+            fn_args=(group_col, id_col, val_col, mean_pred, num_buckets),
+        )
         .groupby("__cf_bkt")
         .map_groups(pick, batch_format="pandas")
         .to_pandas()

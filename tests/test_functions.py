@@ -36,6 +36,44 @@ def test_fix_encoding_ascii_identity():
     assert fix_encoding("plain ascii text") == "plain ascii text"
 
 
+def _fix_encoding_full(cell):
+    """fix_encoding without its ASCII fast path: the oracle."""
+    import warnings
+
+    from table_annotation_ray.functions.text import _fix_mojibake
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            unescaped = cell.encode("latin-1").decode("unicode-escape")
+        return _fix_mojibake(unescaped)
+    except Exception:
+        return _fix_mojibake(cell)
+
+
+_ENC_PIECES = ["plain", " ", "\\", "\\n", "\\x41", "\\u00e9", "\\U0001F600", "\\q",
+               "Ã©", "Ã¨re", "â˜•", "é", "😀", "𝔘", "\x00", "\x7f", "\x80", "\\\\"]
+
+
+def test_fix_encoding_fast_path_matches_full_body():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet=st.characters(max_codepoint=127)),
+        st.lists(st.sampled_from(_ENC_PIECES)).map("".join),
+        st.text().map(lambda s: s.encode("utf-8").decode("latin-1")),  # mojibake
+        st.text(),
+    ))
+    def check(cell):
+        assert fix_encoding(cell) == _fix_encoding_full(cell)
+
+    check()
+    for cell in ["plain", "a\\nb", "Ã©tÃ©", "😀", "Brasília".encode().decode("latin-1")]:
+        assert fix_encoding(cell) == _fix_encoding_full(cell)
+
+
 # ---- normalization / datatypes -------------------------------------------
 def test_normalize_label():
     assert normalize_label('  "Hello"   world ') == "Hello world"

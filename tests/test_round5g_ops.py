@@ -1421,6 +1421,54 @@ def test_conformal_intervals_coverage(ray_session):
     assert (out["n_train"] + out["n_cal"]).sum() == n
 
 
+def test_conformal_intervals_even_only_block_is_typed(ray_session):
+    """A block holding only even (training) ids has no calibration row:
+    its residual block must be empty and typed like the input, not a
+    NULL-typed frame that Ray logs as a schema change."""
+    import logging
+
+    from table_annotation_ray.stages.stats import conformal_intervals
+
+    rng = np.random.default_rng(5)
+    n = 400
+    df = pd.DataFrame({"event_id": np.arange(n), "g": rng.choice(["a", "b"], n),
+                       "value": np.round(rng.normal(100, 10, n), 2)})
+    even = df[df["event_id"] % 2 == 0].iloc[:50]
+
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    logger = logging.getLogger("ray.data")
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        split = conformal_intervals(rd.from_pandas([even, df.drop(even.index)]),
+                                    "g", "event_id", "value")
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+    assert not [m for m in handler.messages if "different schema" in m]
+    whole = conformal_intervals(rd.from_pandas(df), "g", "event_id", "value")
+    pd.testing.assert_frame_equal(split, whole)
+
+    from table_annotation_ray.stages.stats import _conformal_residuals
+
+    for gtype, vals in ((pa.string(), ["a", "b"]), (pa.large_string(), ["a", "b"]),
+                        (pa.int64(), [1, 2])):
+        batch = pa.table({"g": pa.array(vals * 2, gtype), "event_id": [0, 2, 4, 6],
+                          "value": [1.0, 2.0, 3.0, 4.0]})
+        res = _conformal_residuals(batch, "g", "event_id", "value", {v: 1.0 for v in vals}, 8)
+        assert res.num_rows == 0
+        assert res.schema == pa.schema([("g", gtype), ("resid", pa.float64()),
+                                        ("rid", pa.int64()), ("__cf_bkt", pa.int64())])
+
+
 def test_embedding_hubness_planted_hub(ray_session):
     from table_annotation_ray.stages.similarity import brute_force_topk
 
