@@ -1184,15 +1184,16 @@ def _q_kg_mentions(sf_dir: str):
 
 
 def _q_kg_candidates(sf_dir: str):
-    from table_annotation_ray.pipelines.kg_pipeline import mentions_dataset, read_transcripts
+    from table_annotation_ray.pipelines.kg_pipeline import read_transcripts
+    from table_annotation_ray.stages.clean import clean_and_explode
     from table_annotation_ray.stages.lookup_stage import lookup_candidates
     from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
     kb_ref = broadcast_kb(os.path.join(root, "kb"))
-    mentions = mentions_dataset(
-        read_transcripts(os.path.join(root, "transcripts.parquet")), kb_ref
-    ).drop_columns(["typing", "datatype"])
+    mentions = read_transcripts(os.path.join(root, "transcripts.parquet")).map_batches(
+        clean_and_explode, batch_format="pyarrow"
+    )
     return lookup_candidates(mentions, kb_ref).to_pandas()
 
 

@@ -39,7 +39,6 @@ class AnnotationConfig:
 
     k: int = 20  # candidates kept per mention
     multihop_context: bool = True
-    transitive_property_only_path: bool = False
     soft_scoring: bool = True
     semantic_context_weight: float = 1.0
     literal_context_weight: float = 0.3

@@ -15,12 +15,10 @@ import json
 
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..stages.sinks import str_partitions
-from ..state.worker_state import get_worker_state, ref_key
 
 TABLE_BUCKETS = 128
 
@@ -85,6 +83,12 @@ def preprocess_tables(
     )
 
 
+_LOOKUP_SCHEMA = pa.schema([
+    ("label", pa.string()), ("entity", pa.string()),
+    ("score", pa.float64()), ("rank", pa.int32()),
+])
+
+
 def lookup_labels(
     labels_ds: rd.Dataset,
     kb_ref,
@@ -92,31 +96,22 @@ def lookup_labels(
     label_col: str = "label",
 ) -> rd.Dataset:
     """The ``entity_lookup`` service (lookup/entity_lookup.py:74-76) as a
-    batch stage: (label) → (label, entity, score, rank) rows."""
+    batch stage: (label) → (label, entity, score, rank) rows, every
+    candidate of each lower-cased label from the worker's annotate-stage
+    index (stages/annotate_stage.py::get_annotate_stage).  A null label
+    has no rows."""
 
     def run(batch: pa.Table) -> pa.Table:
-        from ..state.kb import KBData
-        from ..state.lookup_index import LabelIndex
+        from ..stages.annotate_stage import _rows_table, get_annotate_stage
 
-        def build():
-            kb: KBData = ray.get(kb_ref) if not isinstance(kb_ref, KBData) else kb_ref
-            return LabelIndex(kb, cfg.lookup)
-
-        index = get_worker_state(("lookup", ref_key(kb_ref)), build)
-        out = {"label": [], "entity": [], "score": [], "rank": []}
-        for label in batch[label_col].to_pylist():
-            for rank, (eid, score) in enumerate(index.search(label.lower()), 1):
-                out["label"].append(label)
-                out["entity"].append(eid)
-                out["score"].append(score)
-                out["rank"].append(rank)
-        return pa.table(
-            {
-                "label": pa.array(out["label"], pa.string()),
-                "entity": pa.array(out["entity"], pa.string()),
-                "score": pa.array(out["score"], pa.float64()),
-                "rank": pa.array(out["rank"], pa.int32()),
-            }
+        index = get_annotate_stage(kb_ref, cfg).index
+        labels = batch[label_col].to_pylist()
+        hits = index.search_batch([(label or "").lower() for label in labels])
+        return _rows_table(
+            [(label, eid, score, rank)
+             for label, found in zip(labels, hits)
+             for rank, (eid, score) in enumerate(found, 1)],
+            _LOOKUP_SCHEMA,
         )
 
     return labels_ds.map_batches(run, batch_format="pyarrow")

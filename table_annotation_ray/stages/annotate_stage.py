@@ -44,7 +44,7 @@ import pyarrow as pa
 
 import ray
 
-from ..config import PipelineConfig
+from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..state.kb import KBData, KBReader
 from ..state.lookup_index import LabelIndex
 from .annotator import ActorCaches, AnnotationResult, TableAnnotator
@@ -203,24 +203,32 @@ def _rows_table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
 def get_annotate_stage(
     kb_ref, config=None, kb_tier=None, lookup_tier=None
 ) -> "AnnotateBucket":
-    """Per-worker-process :class:`AnnotateBucket` (state/worker_state.py):
-    built once per (KB ref, tier identity, config) per worker, reused
-    across tasks and across the flagship and table pipelines.  The ref
-    from state/kb.py::broadcast_kb is one per KB content per Ray
-    session, so later jobs over the same KB reuse the stage.  Tier
-    handles pickle into the task; their ``key()`` (actor ids) keeps the
-    cache key stable across unpickling."""
+    """Per-worker-process :class:`AnnotateBucket` (state/worker_state.py),
+    the one holder of a worker's label index: the flagship, the table
+    pipelines and the lookup stages (stages/lookup_stage.py,
+    pipelines/table_pipeline.py::lookup_labels) all read it.
+
+    The key is what the build reads: the KB ref, the tiers' ``key()``
+    (actor ids, stable across unpickling), ``config.lookup``,
+    ``config.annotation`` and ``config.runtime.max_rows_per_conv``;
+    frozen dataclasses hash by value, and None means
+    :data:`DEFAULT_CONFIG`.  A job that changes only a knob the stage
+    does not read (``num_buckets``, ``triple_partitions``,
+    ``typing_batch_size``) reuses the stage; a changed lookup,
+    annotation or cap knob gets a new one.  The ref from
+    state/kb.py::broadcast_kb is one per KB content per Ray session, so
+    later jobs over the same KB reuse the stage."""
     from ..state.worker_state import get_worker_state, ref_key
 
+    config = config or DEFAULT_CONFIG
     key = (
         "annotate",
-        ref_key(kb_ref) if kb_ref is not None else None,
+        ref_key(kb_ref),
         kb_tier.key() if kb_tier is not None else None,
         lookup_tier.key() if lookup_tier is not None else None,
-        # config fingerprint: two pipelines in one Ray session with
-        # different knobs must not share a cached stage (frozen
-        # dataclasses repr deterministically; code-review r4)
-        repr(config) if config is not None else None,
+        config.lookup,
+        config.annotation,
+        config.runtime.max_rows_per_conv,
     )
     return get_worker_state(
         key, lambda: AnnotateBucket(kb_ref, config, kb_tier=kb_tier,

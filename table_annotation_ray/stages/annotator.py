@@ -460,12 +460,9 @@ class TableAnnotator:
                 if len(m) > 1 and m not in seen:
                     seen.add(m)
                     mentions.append(m)
-        if hasattr(self.index, "search_batch"):
-            # remote-backed index (state/sharded_lookup.py): one fan-out
-            # round trip for the whole conversation's mentions
-            results = dict(zip(mentions, self.index.search_batch(mentions, k)))
-        else:
-            results = {m: self.index.search(m, k) for m in mentions}
+        # one batch per conversation: a remote-backed index
+        # (state/sharded_lookup.py) serves it in one fan-out round trip
+        results = dict(zip(mentions, self.index.search_batch(mentions, k)))
         # remote-backed KB (state/sharded_kb.py): batch-load every
         # candidate subgraph + type hierarchy before the scoring loops
         self.kbr.prefetch(

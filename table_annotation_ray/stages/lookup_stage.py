@@ -1,10 +1,14 @@
-"""Standalone candidate-generation stage: mentions → entity candidates.
+"""Standalone candidate generation: mentions → entity candidates.
 
 The actor-pool fuzzy lookup of SURVEY.md §2.4 (J1/J2) as its own
-``map_batches`` stage — the index is built once per actor from the
-broadcast KB (the ES cluster replaced by in-actor state), batches of
-mentions are deduplicated per batch and memoized across batches by the
-index's LRU.
+``map_batches`` stage.  It builds no index of its own: it reads the
+worker's annotate stage (stages/annotate_stage.py::get_annotate_stage,
+the one label index per worker, KB and config — the ES cluster
+replaced by in-worker state), or a sharded lookup tier
+(state/sharded_lookup.py) at real-KB scale.  Either way one emitter,
+:func:`candidates_table`, deduplicates each batch's mentions and sends
+them through the index's ``search_batch``; repeats across batches are
+memoized by the index's LRU.
 
 The flagship pipeline fuses this into the annotate stage (the model
 needs lookup coverage to classify columns, annotation_models.py:262-284),
@@ -16,67 +20,44 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
+from ..config import DEFAULT_CONFIG, PipelineConfig
+from .annotate_stage import _rows_table, get_annotate_stage
 
-from ..config import PipelineConfig
-from ..state.kb import KBData
-from ..state.lookup_index import LabelIndex
+_CANDIDATES_SCHEMA = pa.schema([
+    ("conv_id", pa.string()), ("turn_idx", pa.int32()), ("col_slot", pa.int32()),
+    ("mention", pa.string()), ("entity_id", pa.string()),
+    ("lookup_score", pa.float64()), ("rank", pa.int32()),
+])
 
 
-class LookupStage:
+def candidates_table(batch: pa.Table, index, k: int) -> pa.Table:
     """(conv_id, turn_idx, col_slot, mention, ...) →
-    (conv_id, turn_idx, col_slot, mention, entity_id, lookup_score, rank)."""
+    (conv_id, turn_idx, col_slot, mention, entity_id, lookup_score, rank).
 
-    def __init__(self, kb_ref, config: PipelineConfig | None = None):
-        kb: KBData = ray.get(kb_ref) if not isinstance(kb_ref, KBData) else kb_ref
-        cfg = config or PipelineConfig()
-        self.k = cfg.annotation.k
-        self.index = LabelIndex(kb, cfg.lookup)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mentions = batch["mention"].to_pylist()
-        conv = batch["conv_id"].to_pylist()
-        turn = batch["turn_idx"].to_pylist()
-        slot = batch["col_slot"].to_pylist()
-        # per-batch distinct-mention dedup: search each normalized
-        # mention ONCE, replicate results per row
-        results: dict[str, list] = {}
-        for m in mentions:
-            norm = (m or "").lower()
-            if len(norm) > 1 and norm not in results:
-                results[norm] = self.index.search(norm, self.k)
-        out = {
-            "conv_id": [], "turn_idx": [], "col_slot": [], "mention": [],
-            "entity_id": [], "lookup_score": [], "rank": [],
-        }
-        for c, t, s, m in zip(conv, turn, slot, mentions):
-            for rank, (eid, score) in enumerate(
-                results.get((m or "").lower(), ()), 1
-            ):
-                out["conv_id"].append(c)
-                out["turn_idx"].append(t)
-                out["col_slot"].append(s)
-                out["mention"].append(m)
-                out["entity_id"].append(eid)
-                out["lookup_score"].append(score)
-                out["rank"].append(rank)
-        return pa.table(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                "col_slot": pa.array(out["col_slot"], pa.int32()),
-                "mention": pa.array(out["mention"], pa.string()),
-                "entity_id": pa.array(out["entity_id"], pa.string()),
-                "lookup_score": pa.array(out["lookup_score"], pa.float64()),
-                "rank": pa.array(out["rank"], pa.int32()),
-            }
-        )
+    ``index`` is a LabelIndex or a ShardedLookupTier.  Each distinct
+    lower-cased mention longer than one char is searched once per batch
+    and its top ``k`` replicated to every row that holds it; a null
+    mention has no candidates."""
+    conv = batch["conv_id"].to_pylist()
+    turn = batch["turn_idx"].to_pylist()
+    slot = batch["col_slot"].to_pylist()
+    mentions = batch["mention"].to_pylist()
+    norms = [(m or "").lower() for m in mentions]
+    uniq = [n for n in dict.fromkeys(norms) if len(n) > 1]
+    by_norm = dict(zip(uniq, index.search_batch(uniq, k)))
+    rows = [
+        (c, t, s, m, eid, score, rank)
+        for c, t, s, m, n in zip(conv, turn, slot, mentions, norms)
+        for rank, (eid, score) in enumerate(by_norm.get(n, ()), 1)
+    ]
+    return _rows_table(rows, _CANDIDATES_SCHEMA)
 
 
-def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None):
-    """Task-based candidate generation: ``map_batches`` over plain tasks
-    with the index built once per WORKER PROCESS (state/worker_state.py)
-    instead of a fixed actor pool.
+def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None,
+                      lookup_tier=None):
+    """Task-based candidate generation: :func:`candidates_table` with
+    ``k = config.annotation.k`` over ``lookup_tier`` when given, else
+    over the worker's annotate-stage index for (``kb_ref``, ``config``).
 
     A fixed actor pool caps parallelism at its size and holds CPUs for
     the stage lifetime (the repo-wide starvation hazard); plain tasks
@@ -84,15 +65,10 @@ def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None):
     build-once lifecycle. The sf0.1 standalone stage dropped 8.2 s → the
     annotate-stage-equivalent wall after this conversion.
     """
-    from ..state.worker_state import get_worker_state, ref_key
-
-    cfg = config or PipelineConfig()
-    key_frag = ref_key(kb_ref)
+    cfg = config or DEFAULT_CONFIG
 
     def task(batch: pa.Table) -> pa.Table:
-        stage = get_worker_state(
-            ("lookup_stage", key_frag), lambda: LookupStage(kb_ref, cfg)
-        )
-        return stage(batch)
+        index = lookup_tier if lookup_tier is not None else get_annotate_stage(kb_ref, cfg).index
+        return candidates_table(batch, index, cfg.annotation.k)
 
     return mentions.map_batches(task, batch_format="pyarrow")

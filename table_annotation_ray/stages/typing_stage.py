@@ -32,8 +32,7 @@ def worker_typer(kb_ref) -> CellTyper:
             return CellTyper({})
         from ..state.kb import KBReader
 
-        kb = ray.get(kb_ref) if isinstance(kb_ref, ray.ObjectRef) else kb_ref
-        return CellTyper(KBReader(kb).build_gazetteer())
+        return CellTyper(KBReader(ray.get(kb_ref)).build_gazetteer())
 
     return get_worker_state(("typer", ref_key(kb_ref)), build)
 

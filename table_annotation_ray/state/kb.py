@@ -152,10 +152,10 @@ def broadcast_kb(kb_dir: str) -> "ray.ObjectRef":
     """The KB image's ObjectRef, one per (Ray session, KB content).
 
     The same content in the same session returns the same ref, so the
-    per-worker state keyed on the ref's hex (``get_annotate_stage`` and
-    the ``typer`` and ``lookup`` entries) survives across jobs.  A KB
-    rewritten under the same ``kb_dir`` hashes differently and gets a
-    new ref and fresh worker state.  The session is (node id, job id):
+    per-worker state keyed on the ref's hex (the ``annotate`` and
+    ``typer`` entries) survives across jobs.  A KB rewritten under the
+    same ``kb_dir`` hashes differently and gets a new ref and fresh
+    worker state.  The session is (node id, job id):
     a new local cluster has a new node id and a new driver of a running
     cluster a new job id, while the driver's worker id and job id alone
     repeat across local ``ray.init`` calls."""

@@ -452,6 +452,14 @@ class LabelIndex:
         res = self._search_cached(raw_mention)
         return list(res[:k]) if k else list(res)
 
+    def search_batch(self, mentions: list[str], k: int | None = None) -> list[list[tuple[str, float]]]:
+        """:meth:`search` over a batch of mentions: the one lookup seam
+        of the annotator and the lookup stages, shared with
+        state/sharded_lookup.py::ShardedLookupTier.  Each mention goes
+        through ``self.search``, so a wrapper set on the instance sees
+        every lookup."""
+        return [self.search(m, k) for m in mentions]
+
 
 def finalize_candidates(
     cands: dict[str, tuple[float, float, float, bool]],

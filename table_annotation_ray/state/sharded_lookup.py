@@ -24,13 +24,13 @@ express the semantics").
 Usage::
 
     tier = ShardedLookupTier.create(kb, num_shards=8)   # driver side
-    stage = tier.make_stage(k=20)                       # map_batches fn
-    candidates = mentions.map_batches(stage, batch_format="pyarrow")
+    candidates = lookup_candidates(mentions, kb_ref, lookup_tier=tier)
+    # stages/lookup_stage.py; or AnnotateBucket(..., lookup_tier=tier)
 
-Batching: the stage sends each batch's UNIQUE mentions to every shard
-in one round trip (K parallel actor calls per batch), so per-mention
-overhead is amortized; shard-side LRU caches repeat mentions across
-batches.
+Batching: :meth:`ShardedLookupTier.search_batch` sends a batch's UNIQUE
+mentions to every shard in one round trip (K parallel actor calls per
+batch), so per-mention overhead is amortized; shard-side LRU caches
+repeat mentions across batches.
 """
 
 from __future__ import annotations
@@ -225,41 +225,3 @@ class ShardedLookupTier:
 
     def search(self, mention: str, k: int | None = None) -> list[tuple[str, float]]:
         return self.search_batch([mention], k)[0]
-
-    def make_stage(self, k: int = 20):
-        """A map_batches callable producing the candidates relation
-        (same schema as stages/lookup_stage.LookupStage)."""
-        tier = self
-
-        def lookup_stage(batch: pa.Table) -> pa.Table:
-            conv = batch["conv_id"].to_pylist()
-            turn = batch["turn_idx"].to_pylist()
-            slot = batch["col_slot"].to_pylist()
-            mentions = batch["mention"].to_pylist()
-            norms = [(m or "").lower() for m in mentions]
-            uniq_norms = [n for n in dict.fromkeys(norms) if len(n) > 1]
-            by_norm = dict(zip(uniq_norms, tier.search_batch(uniq_norms, k)))
-            out = {"conv_id": [], "turn_idx": [], "col_slot": [], "mention": [],
-                   "entity_id": [], "lookup_score": [], "rank": []}
-            for c, t, s, m, n in zip(conv, turn, slot, mentions, norms):
-                for rank, (eid, score) in enumerate(by_norm.get(n, []), 1):
-                    out["conv_id"].append(c)
-                    out["turn_idx"].append(t)
-                    out["col_slot"].append(s)
-                    out["mention"].append(m)
-                    out["entity_id"].append(eid)
-                    out["lookup_score"].append(score)
-                    out["rank"].append(rank)
-            return pa.table(
-                {
-                    "conv_id": pa.array(out["conv_id"], pa.string()),
-                    "turn_idx": pa.array(out["turn_idx"], pa.int32()),
-                    "col_slot": pa.array(out["col_slot"], pa.int32()),
-                    "mention": pa.array(out["mention"], pa.string()),
-                    "entity_id": pa.array(out["entity_id"], pa.string()),
-                    "lookup_score": pa.array(out["lookup_score"], pa.float64()),
-                    "rank": pa.array(out["rank"], pa.int32()),
-                }
-            )
-
-        return lookup_stage

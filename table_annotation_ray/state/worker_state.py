@@ -12,10 +12,15 @@ loading (spacy_ner_parser.py:30) while scheduling stays fully elastic.
 State is keyed by (stage name, ref key, ...), where the ref key is the
 hex of a broadcast ObjectRef.  The KB broadcast is content-addressed
 (state/kb.py::broadcast_kb: one ObjectRef per KB content per Ray
-session), so a worker's ``annotate``/``typer``/``lookup`` state is
-built once per session and reused by every later job over the same KB;
-a changed KB gets a new ref and so a fresh state.  The driver is a
-process too: ``broadcast_kb`` keeps its refs in this same cache.
+session), so a worker's KB-derived state is built once per session and
+reused by every later job over the same KB; a changed KB gets a new ref
+and so a fresh state.  A worker holds two KB-derived entries:
+``annotate`` (stages/annotate_stage.py::get_annotate_stage: the label
+index, KB reader and cell typer that every lookup and annotate stage
+reads, keyed on the config fields it reads) and ``typer``
+(stages/typing_stage.py::worker_typer: the cell typer alone, for the
+typing-only jobs that need no label index).  The driver is a process
+too: ``broadcast_kb`` keeps its refs in this same cache.
 
 The cache is an LRU that keeps at most :data:`MAX_PER_NAME` entries per
 stage name (``key[0]``).  An evicted entry is rebuilt on its next use,
@@ -29,19 +34,14 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable
 
+import ray
+
 # entries kept per stage name: the live KB plus one other, e.g. a
 # pipeline and its warm-up, or two KBs used alternately
 MAX_PER_NAME = 2
 
 _STATE: OrderedDict[tuple, Any] = OrderedDict()
 _LOCK = threading.Lock()  # guards _STATE's bookkeeping, not the builders
-
-# raw (non-ObjectRef) values keyed by id() are PINNED here so CPython
-# cannot recycle the address for a different object while a cache entry
-# derived from it is alive — without the pin, a gc'd KBData's id could
-# be reused by a DIFFERENT pipeline's KBData and get_worker_state would
-# serve state built from the WRONG KB (code-review r4, pass 7)
-_PINNED: dict[str, Any] = {}
 
 
 def get_worker_state(key: tuple, builder: Callable[[], Any]) -> Any:
@@ -68,18 +68,14 @@ def pop_state(name: str, stale: Callable[[tuple], bool]) -> list:
         return [_STATE.pop(k) for k in keys]
 
 
-def ref_key(obj) -> str:
-    """Stable cache-key fragment for a broadcast ObjectRef (or value).
-
-    Raw values are supported for IN-PROCESS use (e.g. serve_api holding
-    a KBData directly): the value is keyed by id() and pinned for the
-    process lifetime.  Do NOT ship raw large values through Ray task
-    ``fn_kwargs`` — each task deserializes a fresh copy with a fresh
-    id(), so state rebuilds per task; broadcast with ``ray.put`` and
-    pass the ObjectRef instead."""
-    try:
-        return obj.hex()  # ray.ObjectRef
-    except AttributeError:
-        k = str(id(obj))
-        _PINNED[k] = obj
-        return k
+def ref_key(ref: ray.ObjectRef | None) -> str | None:
+    """Cache-key fragment for a broadcast ObjectRef: its hex, or None for
+    None.  Any other value raises ``TypeError``: a raw value has no
+    identity that outlives it, and one shipped through a task's
+    ``fn_kwargs`` arrives as a fresh copy per task, so ``ray.put`` it
+    and pass the ref."""
+    if ref is None:
+        return None
+    if not isinstance(ref, ray.ObjectRef):
+        raise TypeError(f"ref_key takes a ray.ObjectRef or None, not {type(ref).__name__}")
+    return ref.hex()

@@ -319,31 +319,22 @@ def test_dedup_triples_empty_block_schema(ray_session):
     assert out.iloc[0]["score"] == 0.9 and out.iloc[0]["conv_id"] == "c1"
 
 
-def test_ref_key_pins_raw_values():
-    """Raw (non-ObjectRef) values are pinned so CPython can't recycle
-    their id() for a different object while cached state keyed by that
-    id is alive (silent wrong-KB cache hit otherwise)."""
-    import gc
+def test_ref_key_takes_refs_only(ray_session):
+    """A broadcast ObjectRef keys by its hex and None by None; any other
+    value raises TypeError, since a raw value keyed by id() could serve
+    state built from a different object once its address is reused
+    (values with a ``hex`` method of their own included)."""
+    import pytest
+    import ray
 
-    from table_annotation_ray.state import worker_state
+    from table_annotation_ray.state.worker_state import ref_key
 
-    class Blob:
-        pass
-
-    obj = Blob()
-    k = worker_state.ref_key(obj)
-    assert worker_state._PINNED[k] is obj
-    del obj
-    gc.collect()
-    # the pin holds the object alive -> its id cannot be reused
-    assert isinstance(worker_state._PINNED[k], Blob)
-    # ObjectRef-like values still key by hex and are NOT pinned
-    class FakeRef:
-        def hex(self):
-            return "abc123"
-
-    assert worker_state.ref_key(FakeRef()) == "abc123"
-    assert "abc123" not in worker_state._PINNED
+    ref = ray.put({"kb": 1})
+    assert ref_key(ref) == ref.hex()
+    assert ref_key(None) is None
+    for raw in ({"kb": 1}, object(), b"\x01", 1.5, "abc123"):
+        with pytest.raises(TypeError):
+            ref_key(raw)
 
 
 def test_run_query_cli_list():

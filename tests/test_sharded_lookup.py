@@ -67,7 +67,7 @@ def test_batch_api_and_cache(tier):
 
 
 def test_sharded_stage_in_pipeline(ray_session, kb_objects, synth_root, tier):
-    """The tier as a map_batches stage produces the candidates relation
+    """The tier behind the candidates stage produces the candidates relation
     with ranks matching the single index (per-mention score equivalence
     is pinned by test_sharded_equals_single_index; here we drive the
     Ray stage end-to-end)."""
@@ -75,16 +75,18 @@ def test_sharded_stage_in_pipeline(ray_session, kb_objects, synth_root, tier):
 
     import ray
 
-    from table_annotation_ray.pipelines.kg_pipeline import mentions_dataset, read_transcripts
+    from table_annotation_ray.pipelines.kg_pipeline import read_transcripts
+    from table_annotation_ray.stages.clean import clean_and_explode
+    from table_annotation_ray.stages.lookup_stage import lookup_candidates
     from table_annotation_ray.state.kb import load_kb
 
     kb = load_kb(os.path.join(synth_root, "kb"))
     kb_ref = ray.put(kb)
-    mentions = mentions_dataset(
-        read_transcripts(os.path.join(synth_root, "transcripts.parquet")), kb_ref
-    ).drop_columns(["typing", "datatype"]).materialize()
+    mentions = read_transcripts(
+        os.path.join(synth_root, "transcripts.parquet")
+    ).map_batches(clean_and_explode, batch_format="pyarrow").materialize()
 
-    sharded = mentions.map_batches(tier.make_stage(k=20), batch_format="pyarrow").to_pandas()
+    sharded = lookup_candidates(mentions, kb_ref, lookup_tier=tier).to_pandas()
     assert len(sharded) > 0
     assert set(sharded.columns) == {
         "conv_id", "turn_idx", "col_slot", "mention", "entity_id",
