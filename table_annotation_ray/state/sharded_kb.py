@@ -51,7 +51,9 @@ from .kb import (
     TYPE_PROPERTIES,
     KBData,
     KBReader,
+    kb_columns,
 )
+from .sharded_lookup import load_label_shard
 
 _MISSING_LABEL = "No English Label"
 
@@ -123,12 +125,7 @@ def load_kb_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
 
     if edges is not None:
         last_src, last_keep = None, True  # edge rows cluster by src
-        for src, pid, obj, kind in zip(
-            edges["src"].to_pylist(),
-            edges["pid"].to_pylist(),
-            edges["obj"].to_pylist(),
-            edges["obj_kind"].to_pylist(),
-        ):
+        for src, pid, obj, kind in zip(*kb_columns(edges, "kb_edges.parquet")):
             if own_src is not None:
                 if src != last_src:
                     last_src, last_keep = src, own_src(src)
@@ -160,16 +157,11 @@ def load_kb_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
     # mask computed from the entity column alone; only the owned rows
     # are converted to Python objects (per-actor work O(N) crc32 +
     # O(N/K) conversion, not O(N x cols); review r4)
-    ents_all = meta["entity"].to_pylist()
+    (ents_all,) = kb_columns(meta, "kb_entity_meta.parquet", ("entity",))
     mask = pa.array(
         [_owner(e, num_shards) == shard_id for e in ents_all], pa.bool_()
     )
-    meta = meta.filter(mask)
-    for ent, lab, n in zip(
-        meta["entity"].to_pylist(),
-        meta["en_label"].to_pylist(),
-        meta["num_edges"].to_pylist(),
-    ):
+    for ent, lab, n in zip(*kb_columns(meta.filter(mask), "kb_entity_meta.parquet")):
         # a null en_label stored as None would bypass the reader's
         # "No English Label" default (key exists) and crash
         # get_symbol_of_unit_entity's .lower() — same guard as
@@ -178,25 +170,8 @@ def load_kb_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
             kb.labels[ent] = lab
         kb.num_edges[ent] = int(n)
 
-    labels_path = os.path.join(kb_dir, "kb_labels.parquet")
-    if os.path.exists(labels_path):
-        labels = pq.read_table(labels_path)
-        lmask = pa.array(
-            [
-                _owner(e, num_shards) == shard_id
-                for e in labels["entity"].to_pylist()
-            ],
-            pa.bool_(),
-        )
-        labels = labels.filter(lmask)
-        kb.label_rows.extend(
-            zip(
-                labels["entity"].to_pylist(),
-                labels["label"].to_pylist(),
-                labels["origin"].to_pylist(),
-                labels["pr"].to_pylist(),
-            )
-        )
+    if os.path.exists(os.path.join(kb_dir, "kb_labels.parquet")):
+        kb.label_rows = load_label_shard(kb_dir, num_shards, shard_id).label_rows
     return kb
 
 

@@ -42,7 +42,7 @@ import pyarrow as pa
 import ray
 
 from ..config import LookupConfig
-from .kb import KBData
+from .kb import KBData, kb_columns
 from .lookup_index import LabelIndex, finalize_candidates, merge_candidates
 
 
@@ -73,7 +73,7 @@ class LookupShardActor:
         self.index = LabelIndex(kb_shard, cfg, df_override=df_stats)
 
     def scored_batch(self, mentions: list[str]) -> list[dict]:
-        return [self.index.scored_candidates(m) for m in mentions]
+        return self.index.scored_candidates_batch(mentions)
 
     def num_rows(self) -> int:
         return len(self.index.rows)
@@ -95,30 +95,13 @@ def load_label_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
 
     import pyarrow.parquet as pq
 
-    import pyarrow as pa
-
     kb = KBData()
     labels = pq.read_table(os.path.join(kb_dir, "kb_labels.parquet"))
     # ownership mask from the entity column alone, Arrow-filter, THEN
-    # convert only the kept 1/K of rows to Python objects — the old
-    # to_pylist of all four full columns did O(N x cols) object work in
-    # EVERY shard actor (review r4)
-    mask = pa.array(
-        [
-            zlib.crc32(e.encode()) % num_shards == shard_id
-            for e in labels["entity"].to_pylist()
-        ],
-        pa.bool_(),
-    )
-    labels = labels.filter(mask)
-    kb.label_rows.extend(
-        zip(
-            labels["entity"].to_pylist(),
-            labels["label"].to_pylist(),
-            labels["origin"].to_pylist(),
-            labels["pr"].to_pylist(),
-        )
-    )
+    # convert only the kept 1/K of rows to Python objects
+    (entities,) = kb_columns(labels, "kb_labels.parquet", ("entity",))
+    mask = pa.array([zlib.crc32(e.encode()) % num_shards == shard_id for e in entities], pa.bool_())
+    kb.label_rows.extend(zip(*kb_columns(labels.filter(mask), "kb_labels.parquet")))
     return kb
 
 

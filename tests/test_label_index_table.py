@@ -214,22 +214,39 @@ def test_200_char_token_matches_dict_index_and_chunks(monkeypatch):
             assert np.array_equal(getattr(part, name), getattr(cut.table[L], name)), (L, name)
 
 
+def _key(idx, L, text):
+    """``text`` as the length-L partition of ``idx`` stores it."""
+    if L * idx._bits <= 64:
+        ranks = np.searchsorted(idx._alphabet, [ord(c) for c in text]).astype(np.uint64)
+        return lookup_index._pack(ranks, idx._bits)
+    return np.array(text, dtype=f"<U{L}")
+
+
 def test_table_layout():
-    """Sorted unique fixed-width keys, int64 offsets, int32 rows, int8
+    """Sorted unique keys (packed alphabet ranks where a key fits 64
+    bits, fixed-width strings beyond), int64 offsets, int32 rows, int8
     depths; each (key, row) once, at its smallest depth."""
-    idx = LabelIndex(_kb(["abcdef abcde", "abcdef", "bcdef"]), LookupConfig())
+    # six distinct chars, 3 bits a rank: keys up to 21 chars pack, and
+    # the 30-char token's keys stay strings
+    idx = LabelIndex(_kb(["abcdef abcde", "abcdef", "bcdef", "abcdef" * 5]), LookupConfig())
+    assert idx._bits == 3
     for L, part in idx.table.items():
-        assert part.keys.dtype == np.dtype(f"<U{max(1, L)}")
+        assert part.keys.dtype == (np.dtype(np.uint64) if L * 3 <= 64 else np.dtype(f"<U{L}"))
         assert (part.keys[1:] > part.keys[:-1]).all()
         assert part.off.dtype == np.int64 and part.off[-1] == len(part.rows)
         assert part.rows.dtype == np.int32 and part.depth.dtype == np.int8
+    assert {28, 29, 30} <= {L for L, part in idx.table.items() if part.keys.dtype.kind == "U"}
     part = idx.table[5]
-    k = int(np.searchsorted(part.keys, "bcdef"))
+    k = int(np.searchsorted(part.keys, _key(idx, 5, "bcdef")))
+    assert part.keys[k] == _key(idx, 5, "bcdef")
     lo, hi = part.off[k], part.off[k + 1]
     # row 0 has "abcde" (depth 0 for "abcde", not this key) and "abcdef"
     # (depth 1); row 2 holds "bcdef" itself
     assert part.rows[lo:hi].tolist() == [0, 1, 2]
     assert part.depth[lo:hi].tolist() == [1, 1, 0]
+    long = idx.table[29]
+    k = int(np.searchsorted(long.keys, _key(idx, 29, ("abcdef" * 5)[1:])))
+    assert long.rows[long.off[k]:long.off[k + 1]].tolist() == [3]
     assert idx.nbytes() == sum(p.nbytes() for p in idx.table.values())
 
 

@@ -19,18 +19,23 @@ def _rows_sha256(df) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-# sorted-row hashes of the two rows-only lookup queries at sf0.01
-# (70-conversation synth), taken before their stages were rewired onto
-# the annotate stage's index
+# sorted-row hashes at sf0.01 (70-conversation synth): the two rows-only
+# lookup queries, taken before their stages were rewired onto the
+# annotate stage's index, and the three flagship KG queries, taken before
+# the lookup miss path was batched
 _LOOKUP_QUERY_SHA256 = {
     "kg_candidates": (1184, "b2340fdfe7162f378b28af216d8ae887380efd80132f82d4b0315dedf26db57f"),
     "entity_lookup": (96, "5e42c3b52e8fcf36dc2b3ed76d2dc642340ad8b60212a07ad2222398c58654ba"),
+    "kg_triples": (142, "0160333fb97ae43a58b4035886381065379986d693a643de615c71fb2154a35c"),
+    "kg_annotations": (1457, "42c1f678717cdcd87132df93d60e02838b9ee3239f0788692c20158da556d3b9"),
+    "kg_mentions": (1975, "698ef75e5ac32043f53d40ff60aa13d4829ac76fed2526d3c8839993782f9d8b"),
 }
 
 
 def test_lookup_queries_match_pinned_rows(ray_session):
-    """``kg_candidates`` and ``entity_lookup`` have no SQL oracle; their
-    rows at sf0.01 are pinned here as value hashes."""
+    """``kg_candidates`` and ``entity_lookup`` have no SQL oracle, and the
+    KG queries' oracles check row counts only; their rows at sf0.01 are
+    pinned here as value hashes."""
     sys.path.insert(0, REPO)
     import __ray_entry__ as entry
 
