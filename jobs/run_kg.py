@@ -31,7 +31,8 @@ def main() -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--transcripts", required=True, help="parquet path/dir of transcripts")
-    parser.add_argument("--kb", required=True, help="mini-KB parquet directory")
+    parser.add_argument("--kb", required=True,
+                        help="KB directory or URI: flat kb_*.parquet tables or the kb_build dump layout")
     parser.add_argument("--out", required=True, help="output directory for triple partitions")
     parser.add_argument("--partitions", type=int,
                         default=DEFAULT_CONFIG.runtime.triple_partitions,

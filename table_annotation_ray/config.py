@@ -38,8 +38,6 @@ class AnnotationConfig:
     table_annotation.py:46)."""
 
     k: int = 20  # candidates kept per mention
-    multihop_context: bool = True
-    soft_scoring: bool = True
     semantic_context_weight: float = 1.0
     literal_context_weight: float = 0.3
     cta_weight_level1: float = 1.0

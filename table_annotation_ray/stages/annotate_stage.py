@@ -137,7 +137,8 @@ class AnnotateBucket:
         # in-worker cap diverges from the map-side prefilter
         # (code-review r4; empty columns flip the num_columns>1 context
         # machinery)
-        kept = [r for r in rows if r[0] < cap]
+        # (a negative turn_idx is no row of the table: dropped likewise)
+        kept = [r for r in rows if 0 <= r[0] < cap]
         if not kept:
             # fully capped-away conversation (only reachable without the
             # pipeline's prefilter): emit the empty result it would give
@@ -150,7 +151,7 @@ class AnnotateBucket:
         cells: dict[tuple[int, int], str] = {}
         for turn, slot, mention in rows:
             cells[(turn, slot)] = mention
-            if turn < cap:  # per-conversation cap (see module docstring)
+            if 0 <= turn < cap:  # per-conversation cap (see module docstring)
                 table[turn][slot] = mention
         typings, datatypes = parse_table(table, self._type_cell)
         return self.annotator.annotate(table, typings, datatypes), cells

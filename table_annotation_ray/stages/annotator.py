@@ -218,7 +218,7 @@ class TableAnnotator:
         if tail_id in g_head:
             for pid, _info in g_head[tail_id]:
                 proximities[pid] = 1.0
-        elif self.cfg.multihop_context:
+        else:
             g_tail = self._subgraph(tail_id)["entity"]
             for node in g_head.keys() & g_tail.keys():
                 num_edges = self.kbr.get_num_edges(node)
@@ -790,22 +790,19 @@ class TableAnnotator:
                             cta_scores[cea["id"]], w * a_cta["score"]
                         )
         if cta_applied:
-            if self.cfg.soft_scoring:
-                mean_w = sum(cta_weights) / len(cta_weights)
-                if (
-                    self.contextless_cells
-                    and self.contextless_cells.get(cell, 0.1) == 0.1
-                ):
-                    cta_coeff = mean_w
-                    for cea in cea_candidates:
-                        pc_list = self.potential_candidates.get((row, col, cea["id"]))
-                        if pc_list:
-                            cpa_coeff = max(it["cpa_coeff"] for it in pc_list)
-                            cea["score"] = min(1.0, cea["score"] * (1 + cpa_coeff))
-                else:
-                    cta_coeff = mean_w / 2
+            mean_w = sum(cta_weights) / len(cta_weights)
+            if (
+                self.contextless_cells
+                and self.contextless_cells.get(cell, 0.1) == 0.1
+            ):
+                cta_coeff = mean_w
+                for cea in cea_candidates:
+                    pc_list = self.potential_candidates.get((row, col, cea["id"]))
+                    if pc_list:
+                        cpa_coeff = max(it["cpa_coeff"] for it in pc_list)
+                        cea["score"] = min(1.0, cea["score"] * (1 + cpa_coeff))
             else:
-                cta_coeff = 0.25
+                cta_coeff = mean_w / 2
             for cea in cea_candidates:
                 cea["score"] = (cea["score"] + cta_coeff * cta_scores[cea["id"]]) / (
                     1 + cta_coeff

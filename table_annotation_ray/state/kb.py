@@ -9,6 +9,22 @@ reproduces the ``Wikidata_KB`` query surface (knowledge_bases.py:63-203).
 The reference's ``map_unit_dimension_to_entity`` (knowledge_bases.py:122)
 has no counterpart: nothing in the reference calls it.
 
+:func:`load_kb` is the one reader of KB files, for every path (the
+broadcast image, :func:`kb_digest`, the serve API and both sharded
+tiers).  ``kb_dir`` is a local path or any pyarrow-filesystem URI
+(``file://``, ``s3://``), holding either layout:
+
+* flat — ``kb_edges.parquet``, ``kb_entity_meta.parquet`` and
+  ``kb_labels.parquet``, each a file or a directory of part files (the
+  synth mini-KB);
+* dump — :mod:`.kb_build`'s ``edges/bucket=b/`` (with its
+  ``_bucket_manifest.json``) and ``meta/`` directories, next to a
+  ``kb_labels.parquet`` written by ``build_labels_from_dump``.
+
+``load_kb(kb_dir, K, i)`` keeps only the rows of the entities shard
+``i`` of ``K`` owns (``crc32(entity) % K == i``); on the dump layout it
+reads only the edge buckets that can hold them.
+
 :func:`broadcast_kb` gives the image the reference's lifetime — its ES
 index and LMDB map are long-lived services — instead of one job's: one
 ``ray.put`` per KB content per Ray session, so the per-worker state
@@ -27,7 +43,10 @@ annotation output (tests/test_sharded_kb.py) and are enabled with
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +83,17 @@ class KBData:
 
 KB_FILES = ("kb_edges.parquet", "kb_entity_meta.parquet", "kb_labels.parquet")
 
+# the directory kb_build.build_edges_from_dump writes in place of a flat
+# graph table; the label table has only its flat name (point
+# build_labels_from_dump at kb_dir/kb_labels.parquet)
+_DUMP_DIRS = {"kb_edges.parquet": "edges", "kb_entity_meta.parquet": "meta"}
 
-def _kb_paths(kb_dir: str) -> tuple[pafs.FileSystem, dict[str, str]]:
-    """The filesystem and the path of each of :data:`KB_FILES` under
-    ``kb_dir``: an existing local path, else a URI (``file://``,
-    ``s3://``, ...), else a local path that will report it is missing —
-    the order ``pq.read_table`` resolves a path in."""
+
+def _kb_root(kb_dir: str) -> tuple[pafs.FileSystem, str]:
+    """The filesystem and root path of ``kb_dir``: an existing local
+    path, else a URI (``file://``, ``s3://``, ...), else a local path
+    that will report it is missing — the order ``pq.read_table``
+    resolves a path in."""
     if not os.path.exists(kb_dir):
         try:
             fs, base = pafs.FileSystem.from_uri(kb_dir)
@@ -77,9 +101,65 @@ def _kb_paths(kb_dir: str) -> tuple[pafs.FileSystem, dict[str, str]]:
             if "://" in kb_dir:
                 raise
         else:
-            return fs, {name: f"{base.rstrip('/')}/{name}" for name in KB_FILES}
-    base = os.path.abspath(kb_dir)
-    return pafs.LocalFileSystem(), {name: os.path.join(base, name) for name in KB_FILES}
+            return fs, base.rstrip("/")
+    return pafs.LocalFileSystem(), os.path.abspath(kb_dir)
+
+
+def _resolve(fs: pafs.FileSystem, root: str, name: str) -> pafs.FileInfo:
+    """KB table ``name`` under ``root``: its flat name (a file or a
+    directory of part files), else its dump-layout directory."""
+    info = fs.get_file_info(f"{root}/{name}")
+    if info.type == pafs.FileType.NotFound and name in _DUMP_DIRS:
+        dump = fs.get_file_info(f"{root}/{_DUMP_DIRS[name]}")
+        if dump.type == pafs.FileType.Directory:
+            return dump
+    if info.type == pafs.FileType.NotFound:
+        where = f" or {_DUMP_DIRS[name]}/" if name in _DUMP_DIRS else ""
+        raise FileNotFoundError(f"KB table {name}{where} not found under {root!r}")
+    return info
+
+
+def _bucket_files(
+    fs: pafs.FileSystem, edges_dir: str, num_shards: int, shard_id: int
+) -> tuple[list[str], bool]:
+    """The part files of a dump-layout ``edges/bucket=b/`` directory that
+    can hold shard ``shard_id``'s edges, and whether that prune is exact.
+
+    The reader sends entity E to shard ``crc32(E) % num_shards``, while
+    the build bucketed by ``crc32(E) % num_buckets``.  Skipping buckets
+    by ``bucket % num_shards == shard_id`` is exact ONLY when num_shards
+    divides num_buckets; otherwise an entity can sit in a skipped bucket
+    while the reader still routes it here.  So: read num_buckets from the
+    build manifest, keep the buckets with ``bucket % gcd(num_buckets,
+    num_shards) == shard_id % gcd`` (all of them without a manifest), and
+    report the prune exact only under divisibility."""
+    try:
+        with fs.open_input_stream(f"{edges_dir}/_bucket_manifest.json") as f:
+            num_buckets = int(json.load(f)["num_buckets"])
+    except FileNotFoundError:
+        num_buckets = None
+    exact = num_buckets is not None and num_buckets % num_shards == 0
+    g = num_shards if exact else math.gcd(num_buckets or 1, num_shards)
+    files = []
+    for d in sorted(fs.get_file_info(pafs.FileSelector(edges_dir)), key=lambda i: i.path):
+        if (d.type == pafs.FileType.Directory and d.base_name.startswith("bucket=")
+                and int(d.base_name.split("=")[1]) % g == shard_id % g):
+            parts = fs.get_file_info(pafs.FileSelector(d.path))
+            files.extend(sorted(i.path for i in parts if i.path.endswith(".parquet")))
+    return files, exact
+
+
+def owner(entity: str, num_shards: int) -> int:
+    """The shard that holds ``entity``'s rows, and that readers ask for them."""
+    return zlib.crc32(entity.encode()) % num_shards
+
+
+def _owned_rows(table: pa.Table, key: str, num_shards: int, shard_id: int) -> pa.Table:
+    """The rows of ``table`` whose non-null ``key`` entity is owned by
+    ``shard_id``: one crc32 per distinct entity, then a NumPy gather."""
+    enc = pc.dictionary_encode(table[key].combine_chunks())
+    owners = np.array([owner(e, num_shards) for e in enc.dictionary.to_pylist()], np.int64)
+    return table.filter(pa.array(owners[enc.indices.to_numpy()] == shard_id))
 
 
 def pylist(col: pa.Array | pa.ChunkedArray) -> list:
@@ -113,8 +193,9 @@ def pylist(col: pa.Array | pa.ChunkedArray) -> list:
     return col.to_pylist()
 
 
-# the columns load_kb reads, per file; a null is an error in every one
-# but kb_entity_meta.en_label (an entity without an English label)
+# the columns load_kb reads, per table, the owning entity first; a null
+# is an error in every one but kb_entity_meta.en_label (an entity
+# without an English label)
 _KB_COLUMNS = {
     "kb_edges.parquet": ("src", "pid", "obj", "obj_kind"),
     "kb_entity_meta.parquet": ("entity", "en_label", "num_edges"),
@@ -123,37 +204,57 @@ _KB_COLUMNS = {
 _NULLABLE = {("kb_entity_meta.parquet", "en_label")}
 
 
-def kb_columns(table: pa.Table, name: str, columns: tuple[str, ...] | None = None) -> list[list]:
-    """``columns`` (default: all :data:`_KB_COLUMNS`) of KB file
-    ``name`` as Python lists; raises ValueError naming the file, column
-    and null count when a column that must be set holds nulls."""
-    columns = columns or _KB_COLUMNS[name]
+def _read_table(
+    fs: pafs.FileSystem, root: str, name: str, num_shards: int, shard_id: int
+) -> list[list]:
+    """The :data:`_KB_COLUMNS` of KB table ``name`` as Python lists, only
+    the rows shard ``shard_id`` of ``num_shards`` owns; raises ValueError
+    naming the table, column and null count when a column that must be
+    set holds nulls."""
+    columns = _KB_COLUMNS[name]
+    info = _resolve(fs, root, name)
+    source, exact = info.path, num_shards == 1
+    if name == "kb_edges.parquet" and info.base_name == _DUMP_DIRS[name]:
+        source, pruned_exact = _bucket_files(fs, info.path, num_shards, shard_id)
+        exact = exact or pruned_exact
+    if not source:
+        return [[] for _ in columns]
+    table = pq.read_table(source, columns=list(columns), filesystem=fs)
     for col in columns:
         nulls = table[col].null_count
         if nulls and (name, col) not in _NULLABLE:
             raise ValueError(f"KB file {name}: column {col!r} has {nulls} null value(s)")
+    if not exact:
+        table = _owned_rows(table, columns[0], num_shards, shard_id)
     return [pylist(table[col]) for col in columns]
 
 
-def load_kb(kb_dir: str) -> KBData:
-    """Load the 3 KB Parquet tables into dicts (driver-side, once)."""
-    fs, paths = _kb_paths(kb_dir)
-    edges, meta, labels = (
-        kb_columns(pq.read_table(paths[name], filesystem=fs), name) for name in KB_FILES
-    )
+def load_kb(
+    kb_dir: str, num_shards: int = 1, shard_id: int = 0, labels_only: bool = False
+) -> KBData:
+    """The KB image of ``kb_dir`` — the one reader of KB files.
+
+    With ``num_shards > 1`` only the rows of entities ``e`` with
+    ``owner(e, num_shards) == shard_id``: the shard a sharded tier's
+    actor holds.  ``labels_only`` reads the label table alone (a lookup
+    shard's need)."""
+    fs, root = _kb_root(kb_dir)
+
+    def read(name: str) -> list[list]:
+        return _read_table(fs, root, name, num_shards, shard_id)
+
     kb = KBData()
-    for src, pid, obj, kind in zip(*edges):
-        kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
-
-    for ent, lab, n in zip(*meta):
-        # a null en_label stored as None would bypass the reader's
-        # "No English Label" default (the key EXISTS) and crash
-        # get_symbol_of_unit_entity's .lower() (code-review r4)
-        if lab is not None:
-            kb.labels[ent] = lab
-        kb.num_edges[ent] = int(n)
-
-    kb.label_rows = list(zip(*labels))
+    if not labels_only:
+        for src, pid, obj, kind in zip(*read("kb_edges.parquet")):
+            kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
+        for ent, lab, n in zip(*read("kb_entity_meta.parquet")):
+            # a null en_label stored as None would bypass the reader's
+            # "No English Label" default (the key EXISTS) and crash
+            # get_symbol_of_unit_entity's .lower() (code-review r4)
+            if lab is not None:
+                kb.labels[ent] = lab
+            kb.num_edges[ent] = int(n)
+    kb.label_rows = list(zip(*read("kb_labels.parquet")))
     return kb
 
 
@@ -171,18 +272,18 @@ _ENDED_SESSION_REFS: list = []
 def kb_digest(kb_dir: str) -> str:
     """blake2b over the relative paths, sizes and bytes of every file
     :func:`load_kb` may read (a KB table may be a directory of part
-    files): equal digests mean the same KB content, whatever the
-    directory or filesystem."""
-    fs, paths = _kb_paths(kb_dir)
+    files, in either layout): equal digests mean the same KB content,
+    whatever the directory or filesystem."""
+    fs, root = _kb_root(kb_dir)
     h = hashlib.blake2b(digest_size=16)
     for name in KB_FILES:
-        root = paths[name]
-        files = [fs.get_file_info(root)]
-        if files[0].type == pafs.FileType.Directory:
-            found = fs.get_file_info(pafs.FileSelector(root, recursive=True))
+        table = _resolve(fs, root, name)
+        files = [table]
+        if table.type == pafs.FileType.Directory:
+            found = fs.get_file_info(pafs.FileSelector(table.path, recursive=True))
             files = sorted((i for i in found if i.type == pafs.FileType.File), key=lambda i: i.path)
         for info in files:
-            h.update(f"{name}{info.path[len(root):]}:{info.size}\n".encode())
+            h.update(f"{name}{info.path[len(table.path):]}:{info.size}\n".encode())
             with fs.open_input_stream(info.path) as f:
                 for chunk in iter(lambda: f.read(1 << 20), b""):
                     h.update(chunk)

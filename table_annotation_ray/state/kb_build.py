@@ -155,7 +155,7 @@ def build_edges_from_dump(
     # Record the bucket modulus so shard loaders can prune exactly:
     # bucket = crc32(src) % num_buckets, and a reader routing by
     # crc32(src) % num_shards can only skip bucket dirs safely when it
-    # knows num_buckets (see state/sharded_kb.py::load_kb_shard).
+    # knows num_buckets (see state/kb.py::_bucket_files).
     with open(os.path.join(out_dir, "edges", "_bucket_manifest.json"), "w") as f:
         json.dump({"num_buckets": num_buckets, "hash": "crc32"}, f)
     lines.map_batches(to_meta, batch_format="pyarrow").write_parquet(f"{out_dir}/meta")

@@ -1,18 +1,25 @@
 """Sharded KB-subgraph tier — the 100 TB path for the edge store.
 
-The in-memory :func:`state.kb.load_kb` image is the SMALL-KB fast path:
+The broadcast :func:`state.kb.load_kb` image is the SMALL-KB fast path:
 it builds every subgraph into driver dicts and broadcasts them, which
 caps out far below the reference's real KB (a 248 GB LMDB,
 `data/hashmap/wd_hashmap_indexing.py:45`).  This tier is the scale
-path: K dedicated actors each own the `crc32(entity) % K` shard of the
-edge + meta (+ label, for the gazetteer) tables — exactly the
-hash-bucketed Parquet layout :func:`state.kb_build.build_edges_from_dump`
-writes, so on a real cluster each actor reads only its own bucket
-files.  Annotate workers talk to the tier through
+path: K dedicated actors each own the ``crc32(entity) % K`` shard of the
+edge, meta and label tables, read by the same loader,
+``load_kb(kb_dir, K, i)``, from either on-disk layout on any filesystem.
+On the hash-bucketed layout :func:`state.kb_build.build_edges_from_dump`
+writes, each actor reads only the bucket files that can hold its
+entities.  Annotate workers talk to the tier through
 :class:`ShardedKBReader`, a drop-in :class:`~.kb.KBReader` whose three
 primitive getters are backed by batched shard round trips + a
 per-worker LRU (the reference's popularity-cutoff cache,
 `annotation_models.py:119-147`, generalized to an LRU).
+
+Usage::
+
+    tier = ShardedKBTier.create_from_parquet(kb_dir, num_shards=4)  # driver side
+    AnnotateBucket(None, cfg, kb_tier=tier, lookup_tier=...)
+    # or run_kg_pipeline(..., sharded_kb=True), which builds both tiers
 
 Equivalence: the shard union is the full table and every derived getter
 (`get_types_of_entity`, `get_supertypes_of_type`,
@@ -34,14 +41,6 @@ is the one shape the Dataset API cannot express.
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import zlib
-
-import pyarrow as pa
-import pyarrow.parquet as pq
-
 import ray
 
 from .kb import (
@@ -49,175 +48,40 @@ from .kb import (
     SUBCLASS_OF,
     TRANSITIVE_PIDS,
     TYPE_PROPERTIES,
-    KBData,
     KBReader,
-    kb_columns,
+    load_kb,
+    owner,
 )
-from .sharded_lookup import load_label_shard
-
-_MISSING_LABEL = "No English Label"
-
-
-def _owner(entity: str, num_shards: int) -> int:
-    return zlib.crc32(entity.encode()) % num_shards
-
-
-def shard_kb_image(kb: KBData, num_shards: int) -> list[KBData]:
-    """Split a loaded KB image by entity hash (test / small-KB path —
-    the scale path loads shards straight from bucketed Parquet)."""
-    shards = [KBData() for _ in range(num_shards)]
-    for src, sub in kb.subgraphs.items():
-        shards[_owner(src, num_shards)].subgraphs[src] = sub
-    for ent, lab in kb.labels.items():
-        shards[_owner(ent, num_shards)].labels[ent] = lab
-    for ent, n in kb.num_edges.items():
-        shards[_owner(ent, num_shards)].num_edges[ent] = n
-    for row in kb.label_rows:
-        shards[_owner(row[0], num_shards)].label_rows.append(row)
-    return shards
-
-
-def load_kb_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
-    """Load ONE entity-hash shard of the KB Parquet tables.  With the
-    bucketed `edges/bucket=i/` layout from kb_build the scan is pruned to
-    the shard's own files; the flat single-file layout (synth mini-KB)
-    falls back to read-and-filter, which is still per-actor work.
-
-    Routing invariant: the reader sends entity E to shard
-    ``crc32(E) % num_shards`` (:func:`_owner`), while the build bucketed
-    by ``crc32(E) % num_buckets``.  Pruning bucket dirs by
-    ``bucket % num_shards == shard_id`` is exact ONLY when num_shards
-    divides num_buckets; otherwise an entity can sit in a bucket this
-    shard skips while the reader still routes it here (silent
-    missing-entity defaults → wrong triples).  So: read num_buckets from
-    the build manifest, prune by the CRT-compatible condition
-    ``bucket % gcd(num_buckets, num_shards) == shard_id % gcd``, and
-    keep the exact per-row ``_owner`` filter unless divisibility makes
-    the prune exact."""
-    kb = KBData()
-
-    bucketed = os.path.join(kb_dir, "edges")
-    if os.path.isdir(bucketed) and num_shards > 0:
-        num_buckets = None
-        manifest = os.path.join(bucketed, "_bucket_manifest.json")
-        if os.path.exists(manifest):
-            with open(manifest) as f:
-                num_buckets = int(json.load(f)["num_buckets"])
-        if num_buckets is not None and num_buckets % num_shards == 0:
-            g = num_shards  # prune is exact, skip the per-row filter
-            own_src = None
-        else:
-            g = math.gcd(num_buckets, num_shards) if num_buckets else 1
-            own_src = lambda e: _owner(e, num_shards) == shard_id  # noqa: E731
-        paths = []
-        for d in sorted(os.listdir(bucketed)):
-            if d.startswith("bucket=") and int(d.split("=")[1]) % g == shard_id % g:
-                bdir = os.path.join(bucketed, d)
-                paths.extend(
-                    os.path.join(bdir, f)
-                    for f in sorted(os.listdir(bdir))
-                    if f.endswith(".parquet")
-                )
-        edges = pq.read_table(paths) if paths else None
-    else:
-        edges = pq.read_table(os.path.join(kb_dir, "kb_edges.parquet"))
-        own_src = lambda e: _owner(e, num_shards) == shard_id  # noqa: E731
-
-    if edges is not None:
-        last_src, last_keep = None, True  # edge rows cluster by src
-        for src, pid, obj, kind in zip(*kb_columns(edges, "kb_edges.parquet")):
-            if own_src is not None:
-                if src != last_src:
-                    last_src, last_keep = src, own_src(src)
-                if not last_keep:
-                    continue
-            kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
-
-    # meta lives at kb_entity_meta.parquet (flat synth layout) OR under
-    # meta/ (build_edges_from_dump's scale layout — the loader
-    # previously only knew the flat name, so the documented dump-built
-    # path FileNotFoundError-ed in every shard actor; review r4)
-    meta_flat = os.path.join(kb_dir, "kb_entity_meta.parquet")
-    meta_dir = os.path.join(kb_dir, "meta")
-    if os.path.exists(meta_flat):
-        meta = pq.read_table(meta_flat)
-    elif os.path.isdir(meta_dir):
-        meta = pq.read_table(
-            [
-                os.path.join(meta_dir, f)
-                for f in sorted(os.listdir(meta_dir))
-                if f.endswith(".parquet")
-            ]
-        )
-    else:
-        raise FileNotFoundError(
-            f"no KB meta found under {kb_dir!r} "
-            "(expected kb_entity_meta.parquet or meta/)"
-        )
-    # mask computed from the entity column alone; only the owned rows
-    # are converted to Python objects (per-actor work O(N) crc32 +
-    # O(N/K) conversion, not O(N x cols); review r4)
-    (ents_all,) = kb_columns(meta, "kb_entity_meta.parquet", ("entity",))
-    mask = pa.array(
-        [_owner(e, num_shards) == shard_id for e in ents_all], pa.bool_()
-    )
-    for ent, lab, n in zip(*kb_columns(meta.filter(mask), "kb_entity_meta.parquet")):
-        # a null en_label stored as None would bypass the reader's
-        # "No English Label" default (key exists) and crash
-        # get_symbol_of_unit_entity's .lower() — same guard as
-        # state/kb.py::load_kb (review r4)
-        if lab is not None:
-            kb.labels[ent] = lab
-        kb.num_edges[ent] = int(n)
-
-    if os.path.exists(os.path.join(kb_dir, "kb_labels.parquet")):
-        kb.label_rows = load_label_shard(kb_dir, num_shards, shard_id).label_rows
-    return kb
 
 
 @ray.remote
 class KBShardActor:
-    """Owns one entity-hash shard of the KB graph; serves batched point
-    lookups.  Constructed either from a pre-sharded image (tests) or by
-    loading its own shard from Parquet (scale path — the driver never
-    holds the full KB)."""
+    """Owns one entity-hash shard of the KB graph, loaded by the actor
+    itself (the driver never holds the full KB); serves batched point
+    lookups through :class:`~.kb.KBReader`, so a missing id gets the
+    in-memory reader's defaults."""
 
-    def __init__(
-        self,
-        image: KBData | None = None,
-        kb_dir: str | None = None,
-        num_shards: int = 1,
-        shard_id: int = 0,
-    ):
-        if image is not None:
-            self.kb = image
-        else:
-            self.kb = load_kb_shard(kb_dir, num_shards, shard_id)
+    def __init__(self, kb_dir: str, num_shards: int, shard_id: int):
+        self.reader = KBReader(load_kb(kb_dir, num_shards, shard_id))
 
     def fetch(self, entity_ids: list[str]) -> list[tuple[dict, str, int]]:
-        """(subgraph, label, num_edges) per id; missing ids get the same
-        defaults the in-memory reader returns."""
-        out = []
-        for eid in entity_ids:
-            out.append(
-                (
-                    self.kb.subgraphs.get(eid, {}),
-                    self.kb.labels.get(eid, _MISSING_LABEL),
-                    self.kb.num_edges.get(eid, 0),
-                )
-            )
-        return out
+        """(subgraph, label, num_edges) per id."""
+        r = self.reader
+        return [
+            (r.get_subgraph_of_entity(e), r.get_label_of_entity(e), r.get_num_edges(e))
+            for e in entity_ids
+        ]
 
     def meta_batch(self, entity_ids: list[str]) -> list[int]:
         """num_edges only — the popularity weight for subgraph
         intersection nodes; much cheaper to ship than full subgraphs."""
-        return [self.kb.num_edges.get(eid, 0) for eid in entity_ids]
+        return [self.reader.get_num_edges(e) for e in entity_ids]
 
     def gazetteer_partial(self) -> dict[str, str]:
-        return KBReader(self.kb).build_gazetteer()
+        return self.reader.build_gazetteer()
 
     def num_entities(self) -> int:
-        return len(self.kb.subgraphs)
+        return len(self.reader.kb.subgraphs)
 
 
 class ShardedKBReader(KBReader):
@@ -272,7 +136,7 @@ class ShardedKBReader(KBReader):
             return
         by_shard: dict[int, list[str]] = {}
         for e in todo:
-            by_shard.setdefault(_owner(e, self.num_shards), []).append(e)
+            by_shard.setdefault(owner(e, self.num_shards), []).append(e)
         futures = {
             sid: self.actors[sid].fetch.remote(batch) for sid, batch in by_shard.items()
         }
@@ -289,7 +153,7 @@ class ShardedKBReader(KBReader):
             return
         by_shard: dict[int, list[str]] = {}
         for e in todo:
-            by_shard.setdefault(_owner(e, self.num_shards), []).append(e)
+            by_shard.setdefault(owner(e, self.num_shards), []).append(e)
         futures = {
             sid: self.actors[sid].meta_batch.remote(batch)
             for sid, batch in by_shard.items()
@@ -397,28 +261,14 @@ class ShardedKBTier:
         return tuple(a._actor_id.hex() for a in self.actors)
 
     @classmethod
-    def create(
-        cls,
-        kb: KBData,
-        num_shards: int = 4,
-        num_cpus_per_shard: float = 0.5,
-    ) -> "ShardedKBTier":
-        """From a loaded image (small-KB / test path)."""
-        actors = [
-            KBShardActor.options(num_cpus=num_cpus_per_shard).remote(image=shard)
-            for shard in shard_kb_image(kb, num_shards)
-        ]
-        return cls(actors, num_shards)
-
-    @classmethod
     def create_from_parquet(
         cls,
         kb_dir: str,
         num_shards: int = 4,
         num_cpus_per_shard: float = 0.5,
     ) -> "ShardedKBTier":
-        """Scale path: each actor loads its own shard from (bucketed)
-        Parquet — the driver never materializes the KB."""
+        """Each actor loads its own shard of ``kb_dir`` with
+        :func:`~.kb.load_kb` — the driver never materializes the KB."""
         actors = [
             KBShardActor.options(num_cpus=num_cpus_per_shard).remote(
                 kb_dir=kb_dir, num_shards=num_shards, shard_id=i

@@ -21,9 +21,16 @@ the Dataset API has no primitive for a serving tier (ray_guide:
 "drop to raw actors only where the Dataset API genuinely can't
 express the semantics").
 
+Each shard actor reads its own rows of the label table with
+``load_kb(kb_dir, K, i, labels_only=True)`` (any layout, any
+filesystem; the label table has no buckets, so every shard scans it and
+keeps its own entities' rows); the corpus-global IDF stats are then
+merged from the shards' disjoint partials and pushed back, so the
+driver never holds the label table.
+
 Usage::
 
-    tier = ShardedLookupTier.create(kb, num_shards=8)   # driver side
+    tier = ShardedLookupTier.create_from_parquet(kb_dir, num_shards=8)  # driver side
     candidates = lookup_candidates(mentions, kb_ref, lookup_tier=tier)
     # stages/lookup_stage.py; or AnnotateBucket(..., lookup_tier=tier)
 
@@ -35,42 +42,23 @@ repeat mentions across batches.
 
 from __future__ import annotations
 
-import zlib
-
-import pyarrow as pa
-
 import ray
 
 from ..config import LookupConfig
-from .kb import KBData, kb_columns
+from .kb import load_kb
 from .lookup_index import LabelIndex, finalize_candidates, merge_candidates
 
 
 @ray.remote
 class LookupShardActor:
     """Holds a LabelIndex over one entity-hash shard of the label table.
-    ``df_stats`` carries corpus-global token document frequencies so the
-    shard's IDF weighting equals the single index's.
+    Its IDF weighting counts only the shard's rows until
+    :meth:`set_df_stats` installs the corpus-global token document
+    frequencies (the merge of the disjoint shard partials), after which
+    it equals the single index's."""
 
-    Construction paths: pass ``kb_shard`` (pre-sharded image, small-KB /
-    test path) or ``kb_dir`` + ``num_shards`` + ``shard_id`` (the actor
-    loads its own slice of kb_labels.parquet — the driver never holds
-    the label table).  In the parquet path ``df_stats`` is installed
-    afterwards via :meth:`set_df_stats` (global = merge of the disjoint
-    shard partials)."""
-
-    def __init__(
-        self,
-        kb_shard: KBData | None,
-        cfg: LookupConfig,
-        df_stats: tuple | None,
-        kb_dir: str | None = None,
-        num_shards: int = 1,
-        shard_id: int = 0,
-    ):
-        if kb_shard is None:
-            kb_shard = load_label_shard(kb_dir, num_shards, shard_id)
-        self.index = LabelIndex(kb_shard, cfg, df_override=df_stats)
+    def __init__(self, kb_dir: str, num_shards: int, shard_id: int, cfg: LookupConfig):
+        self.index = LabelIndex(load_kb(kb_dir, num_shards, shard_id, labels_only=True), cfg)
 
     def scored_batch(self, mentions: list[str]) -> list[dict]:
         return self.index.scored_candidates_batch(mentions)
@@ -87,33 +75,6 @@ class LookupShardActor:
         self.index.token_df, self.index.n_docs = df_stats
 
 
-def load_label_shard(kb_dir: str, num_shards: int, shard_id: int) -> KBData:
-    """Read only this shard's rows of kb_labels.parquet (entity-hash
-    partition; at dump scale the table is bucket-partitioned and the
-    scan prunes to the shard's own files)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    kb = KBData()
-    labels = pq.read_table(os.path.join(kb_dir, "kb_labels.parquet"))
-    # ownership mask from the entity column alone, Arrow-filter, THEN
-    # convert only the kept 1/K of rows to Python objects
-    (entities,) = kb_columns(labels, "kb_labels.parquet", ("entity",))
-    mask = pa.array([zlib.crc32(e.encode()) % num_shards == shard_id for e in entities], pa.bool_())
-    kb.label_rows.extend(zip(*kb_columns(labels.filter(mask), "kb_labels.parquet")))
-    return kb
-
-
-def shard_kb_labels(kb: KBData, num_shards: int) -> list[KBData]:
-    """Split only the label rows by crc32(entity); shard KBData carries
-    just its label slice (the lookup tier needs nothing else)."""
-    shards = [KBData() for _ in range(num_shards)]
-    for row in kb.label_rows:
-        shards[zlib.crc32(row[0].encode()) % num_shards].label_rows.append(row)
-    return shards
-
-
 class ShardedLookupTier:
     def __init__(self, actors: list, cfg: LookupConfig):
         self.actors = actors
@@ -125,37 +86,6 @@ class ShardedLookupTier:
         return tuple(a._actor_id.hex() for a in self.actors)
 
     @classmethod
-    def create(
-        cls,
-        kb: KBData,
-        num_shards: int = 4,
-        cfg: LookupConfig | None = None,
-        num_cpus_per_shard: float = 0.5,
-    ) -> "ShardedLookupTier":
-        cfg = cfg or LookupConfig()
-        from ..functions.text import normalize_label
-
-        # corpus-global document frequencies (one cheap pass; at dump
-        # scale this is a groupby-count over the label table)
-        token_df: dict[str, int] = {}
-        n_docs = 0
-        for _entity, label, _origin, _pr in kb.label_rows:
-            norm = normalize_label(label).lower()
-            if not norm:
-                continue
-            n_docs += 1
-            for tok in set(norm.split()):
-                token_df[tok] = token_df.get(tok, 0) + 1
-        df_stats = (token_df, max(1, n_docs))
-        actors = [
-            LookupShardActor.options(num_cpus=num_cpus_per_shard).remote(
-                shard, cfg, df_stats
-            )
-            for shard in shard_kb_labels(kb, num_shards)
-        ]
-        return cls(actors, cfg)
-
-    @classmethod
     def create_from_parquet(
         cls,
         kb_dir: str,
@@ -163,16 +93,15 @@ class ShardedLookupTier:
         cfg: LookupConfig | None = None,
         num_cpus_per_shard: float = 0.5,
     ) -> "ShardedLookupTier":
-        """Fully driverless scale path: each shard actor loads its own
-        slice of kb_labels.parquet, then corpus-global IDF stats are
-        assembled by merging the shards' disjoint partials (one small
-        dict per shard) and pushed back — the driver never materializes
-        the label table.  Result is EXACTLY the single-index scoring
-        (same guarantee as :meth:`create`, tested)."""
+        """Each shard actor loads its own rows of the label table, then
+        corpus-global IDF stats are assembled by merging the shards'
+        disjoint partials (one small dict per shard) and pushed back —
+        the driver never materializes the label table.  Result is
+        EXACTLY the single-index scoring (tested)."""
         cfg = cfg or LookupConfig()
         actors = [
             LookupShardActor.options(num_cpus=num_cpus_per_shard).remote(
-                None, cfg, None, kb_dir=kb_dir, num_shards=num_shards, shard_id=i
+                kb_dir, num_shards, i, cfg
             )
             for i in range(num_shards)
         ]

@@ -4,6 +4,7 @@ import gzip
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -81,14 +82,22 @@ def test_build_end_to_end(ray_session, tmp_path):
     assert {(l["label"], l["origin"]) for l in labels} == {("one", "LABEL"), ("uno", "MAIN_ALIAS")}
 
 
-def test_load_kb_shard_dump_layout_and_null_labels(ray_session, tmp_path):
-    """load_kb_shard must read the meta/ directory build_edges_from_dump
-    actually writes (the flat kb_entity_meta.parquet name is the synth
-    layout), and must skip null en_label rows like state/kb.py::load_kb
-    (review r4)."""
-    import pyarrow as pa
+def _write_labels(kb_dir, entities):
+    pq.write_table(
+        pa.table({
+            "entity": entities, "label": entities, "length": [len(e) for e in entities],
+            "origin": ["LABEL"] * len(entities), "pr": [1.0] * len(entities),
+        }),
+        os.path.join(str(kb_dir), "kb_labels.parquet"),
+    )
 
-    from table_annotation_ray.state.sharded_kb import _owner, load_kb_shard
+
+def test_load_kb_shard_dump_layout_and_null_labels(ray_session, tmp_path):
+    """load_kb(kb_dir, K, i) must read the meta/ directory
+    build_edges_from_dump actually writes (the flat
+    kb_entity_meta.parquet name is the synth layout), and must skip null
+    en_label rows in a shard as in the whole KB (review r4)."""
+    from table_annotation_ray.state.kb import load_kb, owner
 
     graph = [
         {"Q1": {"labels": {"en-us": ["one"]}, "P31": {"Q2": "NORMAL"}}},
@@ -99,12 +108,13 @@ def test_load_kb_shard_dump_layout_and_null_labels(ray_session, tmp_path):
     dump.write_text("\n".join(json.dumps(g) for g in graph))
     out = tmp_path / "kb"
     build_edges_from_dump(str(dump), str(out), num_buckets=4)
+    _write_labels(out, ["Q1", "Q2", "Q3"])
 
     num_shards = 2
-    shards = [load_kb_shard(str(out), num_shards, k) for k in range(num_shards)]
+    shards = [load_kb(str(out), num_shards, k) for k in range(num_shards)]
     # every entity's meta landed on exactly its owner shard
     for ent, lab in (("Q1", "one"), ("Q2", "two")):
-        k = _owner(ent, num_shards)
+        k = owner(ent, num_shards)
         assert shards[k].labels[ent] == lab
         assert ent not in shards[1 - k].labels
     # all edges present across shards, owned by src
@@ -140,7 +150,8 @@ def test_load_kb_shard_dump_layout_and_null_labels(ray_session, tmp_path):
         ),
         str(flat / "kb_entity_meta.parquet"),
     )
-    sh = load_kb_shard(str(flat), 1, 0)
+    _write_labels(flat, ["Q9", "Q8"])
+    sh = load_kb(str(flat), 1, 0)
     assert "Q9" not in sh.labels and sh.labels["Q8"] == "eight"
     assert sh.num_edges["Q9"] == 1
 

@@ -21,26 +21,33 @@ def _rows_sha256(df) -> str:
 
 # sorted-row hashes at sf0.01 (70-conversation synth): the two rows-only
 # lookup queries, taken before their stages were rewired onto the
-# annotate stage's index, and the three flagship KG queries, taken before
-# the lookup miss path was batched
+# annotate stage's index, the three flagship KG queries, taken before
+# the lookup miss path was batched, and the two generic-table queries
+# (tables from the sf0.01 nation / region files), taken before the KB
+# loaders were merged into one
 _LOOKUP_QUERY_SHA256 = {
     "kg_candidates": (1184, "b2340fdfe7162f378b28af216d8ae887380efd80132f82d4b0315dedf26db57f"),
     "entity_lookup": (96, "5e42c3b52e8fcf36dc2b3ed76d2dc642340ad8b60212a07ad2222398c58654ba"),
     "kg_triples": (142, "0160333fb97ae43a58b4035886381065379986d693a643de615c71fb2154a35c"),
     "kg_annotations": (1457, "42c1f678717cdcd87132df93d60e02838b9ee3239f0788692c20158da556d3b9"),
     "kg_mentions": (1975, "698ef75e5ac32043f53d40ff60aa13d4829ac76fed2526d3c8839993782f9d8b"),
+    "table_preprocess": (2, "6a0175e68b8b982b4296db68e2ae1b4bf0d073fc8dec7220d9866b391dbb2c36"),
+    "table_annotate": (3, "2e092762efcc84e1f260f51edb6a298c3efa7342549d0bd54d8dff5ec72aabb6"),
 }
 
 
 def test_lookup_queries_match_pinned_rows(ray_session):
     """``kg_candidates`` and ``entity_lookup`` have no SQL oracle, and the
-    KG queries' oracles check row counts only; their rows at sf0.01 are
-    pinned here as value hashes."""
+    KG and table queries' oracles check row counts only; their rows at
+    sf0.01 are pinned here as value hashes."""
     sys.path.insert(0, REPO)
+    sys.path.insert(0, os.path.join(REPO, "tools"))
     import __ray_entry__ as entry
+    from check_oracles import SF_DIR
 
     for name, (n_rows, digest) in _LOOKUP_QUERY_SHA256.items():
-        out = entry.queries()[name]("sf0.01")
+        # the table queries read the sf0.01 nation / region files
+        out = entry.queries()[name](SF_DIR if name.startswith("table_") else "sf0.01")
         assert (len(out), _rows_sha256(out)) == (n_rows, digest), name
 
 

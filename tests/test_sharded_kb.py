@@ -7,11 +7,12 @@ import pytest
 
 
 @pytest.fixture(scope="module")
-def kb_tier(ray_session, kb_objects):
+def kb_tier(ray_session, synth_root):
     from table_annotation_ray.state.sharded_kb import ShardedKBTier
 
-    kb, _, _ = kb_objects
-    return ShardedKBTier.create(kb, num_shards=4, num_cpus_per_shard=0)
+    return ShardedKBTier.create_from_parquet(
+        os.path.join(synth_root, "kb"), num_shards=4, num_cpus_per_shard=0
+    )
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +182,11 @@ def test_triples_identical_with_tier(ray_session, synth_root, kb_objects):
         .reset_index(drop=True)
     )
 
-    kb_tier = ShardedKBTier.create(kb, num_shards=4, num_cpus_per_shard=0)
-    lookup_tier = ShardedLookupTier.create(kb, num_shards=4, num_cpus_per_shard=0)
+    kb_dir = os.path.join(synth_root, "kb")
+    kb_tier = ShardedKBTier.create_from_parquet(kb_dir, num_shards=4, num_cpus_per_shard=0)
+    lookup_tier = ShardedLookupTier.create_from_parquet(
+        kb_dir, num_shards=4, num_cpus_per_shard=0
+    )
     tiered = (
         triples_from_turns(
             read_transcripts(path), None, kb_tier=kb_tier, lookup_tier=lookup_tier

@@ -1,14 +1,17 @@
 """Sharded lookup-actor tier ≡ single-index lookup (state/sharded_lookup.py)."""
 
+import os
+
 import pytest
 
 
 @pytest.fixture(scope="module")
-def tier(ray_session, kb_objects):
+def tier(ray_session, synth_root):
     from table_annotation_ray.state.sharded_lookup import ShardedLookupTier
 
-    kb, _, _ = kb_objects
-    return ShardedLookupTier.create(kb, num_shards=4)
+    return ShardedLookupTier.create_from_parquet(
+        os.path.join(synth_root, "kb"), num_shards=4, num_cpus_per_shard=0
+    )
 
 
 MENTIONS = [
