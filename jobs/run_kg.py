@@ -47,7 +47,9 @@ def main() -> int:
              "broadcast image (the real-KB scale path; identical output)",
     )
     parser.add_argument("--kb-shards", type=int, default=4,
-                        help="shard actors for --sharded-kb")
+                        help="shard actors for --sharded-kb: each holds one "
+                             "entity-hash shard's subgraphs and label index "
+                             "and reserves no CPU")
     args = parser.parse_args()
 
     import ray

@@ -71,15 +71,14 @@ def mentions_dataset(
     )
 
 
-def _annotate_bucket(bucket, emitter, kb_ref, config, kb_tier, lookup_tier):
+def _annotate_bucket(bucket, emitter, kb_ref, config, tier):
     """map_groups body: ``emitter`` (an :class:`AnnotateBucket` method)
     on one bucket of turns, run by the worker's cached stage."""
-    return emitter(get_annotate_stage(kb_ref, config, kb_tier, lookup_tier), bucket)
+    return emitter(get_annotate_stage(kb_ref, config, tier), bucket)
 
 
 def _annotate_buckets(
-    transcripts: rd.Dataset, emitter, kb_ref, cfg: PipelineConfig,
-    kb_tier=None, lookup_tier=None,
+    transcripts: rd.Dataset, emitter, kb_ref, cfg: PipelineConfig, tier=None
 ) -> rd.Dataset:
     """Bucket WHOLE TURNS by conv_id and run ``emitter`` per bucket.
 
@@ -99,8 +98,7 @@ def _annotate_buckets(
     return bucketed.groupby("bucket").map_groups(
         _annotate_bucket,
         batch_format="pyarrow",
-        fn_kwargs={"emitter": emitter, "kb_ref": kb_ref, "config": cfg,
-                   "kb_tier": kb_tier, "lookup_tier": lookup_tier},
+        fn_kwargs={"emitter": emitter, "kb_ref": kb_ref, "config": cfg, "tier": tier},
     )
 
 
@@ -108,15 +106,13 @@ def annotations_dataset(
     transcripts: rd.Dataset,
     kb_ref,
     cfg: PipelineConfig = DEFAULT_CONFIG,
-    kb_tier=None,
-    lookup_tier=None,
+    tier=None,
 ) -> rd.Dataset:
     """transcripts → the CEA/CTA/CPA annotation relations as one tall
     Dataset (kind ∈ {cea, cta, cpa}); same bucketed execution as the
     triple path."""
     return _annotate_buckets(
-        transcripts, AnnotateBucket.annotations_table, kb_ref, cfg,
-        kb_tier, lookup_tier,
+        transcripts, AnnotateBucket.annotations_table, kb_ref, cfg, tier
     )
 
 
@@ -124,15 +120,13 @@ def triples_from_turns(
     transcripts: rd.Dataset,
     kb_ref,
     cfg: PipelineConfig = DEFAULT_CONFIG,
-    kb_tier=None,
-    lookup_tier=None,
+    tier=None,
 ) -> rd.Dataset:
     """transcripts → deduplicated triples: the flagship DAG up to the
     sink (encoding repair, cell splitting and typing all happen inside
     the annotate worker, post-shuffle)."""
     raw = _annotate_buckets(
-        transcripts, AnnotateBucket.annotate_turns_table, kb_ref, cfg,
-        kb_tier, lookup_tier,
+        transcripts, AnnotateBucket.annotate_turns_table, kb_ref, cfg, tier
     )
     return dedup_triples(raw, cfg.runtime.triple_partitions)
 
@@ -144,37 +138,25 @@ def run_kg_pipeline(
     cfg: PipelineConfig = DEFAULT_CONFIG,
     sharded_kb: bool = False,
     num_kb_shards: int = 4,
-    num_cpus_per_shard: float = 0.25,
 ) -> rd.Dataset:
     """Full DAG; returns the deduplicated triples Dataset (lazy).  When
     ``out_dir`` is given, also writes the partitioned, resumable sink.
 
-    ``sharded_kb=True`` is the real-KB scale path: the edge/meta store is
-    served by a :class:`~..state.sharded_kb.ShardedKBTier` (each shard
-    actor loads its own hash bucket from Parquet — the driver and the
-    annotate workers never hold the full KB image) and the label index by
-    a :class:`~..state.sharded_lookup.ShardedLookupTier`.  Output is
-    identical to the broadcast path (tests/test_sharded_kb.py)."""
-    kb_ref = kb_tier = lookup_tier = None
+    ``sharded_kb=True`` is the real-KB scale path: the KB subgraphs and
+    the label index are served by a
+    :class:`~..state.sharded_kb.ShardedKB` of ``num_kb_shards`` actors,
+    each loading its own entity-hash shard (neither the calling process
+    nor the annotate workers hold the full KB image), built with ``cfg.lookup`` once
+    per Ray session and KB.  Output is identical to the broadcast path
+    (tests/test_sharded_kb.py)."""
+    kb_ref = tier = None
     if sharded_kb:
-        from ..state.sharded_kb import ShardedKBTier
-        from ..state.sharded_lookup import ShardedLookupTier
+        from ..state.sharded_kb import shard_kb
 
-        kb_tier = ShardedKBTier.create_from_parquet(
-            kb_dir, num_shards=num_kb_shards, num_cpus_per_shard=num_cpus_per_shard
-        )
-        # fully driverless: shard actors load their own label slices,
-        # global IDF stats merge from disjoint shard partials
-        lookup_tier = ShardedLookupTier.create_from_parquet(
-            kb_dir, num_shards=num_kb_shards,
-            num_cpus_per_shard=num_cpus_per_shard,
-        )
+        tier = shard_kb(kb_dir, num_kb_shards, cfg.lookup)
     else:
         kb_ref = broadcast_kb(kb_dir)
-    triples = triples_from_turns(
-        read_transcripts(transcripts_path), kb_ref, cfg,
-        kb_tier=kb_tier, lookup_tier=lookup_tier,
-    )
+    triples = triples_from_turns(read_transcripts(transcripts_path), kb_ref, cfg, tier)
     if out_dir is not None:
         from dataclasses import asdict
         from datetime import datetime, timezone

@@ -88,37 +88,27 @@ class AnnotateBucket:
     (:meth:`annotate_turns_table`) or annotation relations
     (:meth:`annotations_table`)."""
 
-    def __init__(self, kb_ref, config: PipelineConfig | None = None,
-                 kb_tier=None, lookup_tier=None):
+    def __init__(self, kb_ref, config: PipelineConfig | None = None, tier=None):
         """``kb_ref`` is the broadcast KB image (small-KB fast path).  At
-        real-KB scale pass ``kb_tier`` (state/sharded_kb.ShardedKBTier)
-        and/or ``lookup_tier`` (state/sharded_lookup.ShardedLookupTier)
-        instead — with both tiers set, ``kb_ref`` may be None and the
-        worker never holds the KB image (annotation output is identical,
-        tests/test_sharded_kb.py)."""
+        real-KB scale pass ``tier`` (state/sharded_kb.py::ShardedKB,
+        built with ``config.lookup``) instead: it serves the KB reader
+        and the label index, and the worker never holds the KB image
+        (annotation output is identical, tests/test_sharded_kb.py)."""
         self.cfg = config or PipelineConfig()
-        kb: KBData | None = None
-        if kb_ref is not None:
-            kb = ray.get(kb_ref) if not isinstance(kb_ref, KBData) else kb_ref
-        if kb is None and (kb_tier is None or lookup_tier is None):
-            # a missing tier falls back to the KB image — with kb_ref
-            # None too, the fallback used to die later with an opaque
-            # AttributeError on NoneType.label_rows deep in the ctor
-            # (code-review r4, pass 7)
-            missing = "kb_tier" if kb_tier is None else "lookup_tier"
-            raise ValueError(
-                f"kb_ref=None requires BOTH tiers; {missing} is None "
-                "(pass the broadcast KB image, or both ShardedKBTier "
-                "and ShardedLookupTier)"
-            )
-        if kb_tier is not None:
-            self.kbr = kb_tier.make_reader()
-        else:
+        if tier is not None:
+            if tier.cfg != self.cfg.lookup:
+                raise ValueError("the ShardedKB tier was built with another lookup config")
+            self.kbr = tier.make_reader()
+            self.index = tier
+        elif kb_ref is not None:
+            kb: KBData = ray.get(kb_ref) if not isinstance(kb_ref, KBData) else kb_ref
             self.kbr = KBReader(kb)
-        if lookup_tier is not None:
-            self.index = lookup_tier
-        else:
             self.index = LabelIndex(kb, self.cfg.lookup)
+        else:
+            raise ValueError(
+                "AnnotateBucket needs a KB: the broadcast KB image (kb_ref) "
+                "or a ShardedKB tier (tier)"
+            )
         self.caches = ActorCaches()
         self.annotator = TableAnnotator(
             self.index, self.kbr, self.cfg.annotation, self.caches
@@ -201,15 +191,13 @@ def _rows_table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
     return pa.table([pa.array(c, f.type) for c, f in zip(cols, schema)], schema=schema)
 
 
-def get_annotate_stage(
-    kb_ref, config=None, kb_tier=None, lookup_tier=None
-) -> "AnnotateBucket":
+def get_annotate_stage(kb_ref, config=None, tier=None) -> "AnnotateBucket":
     """Per-worker-process :class:`AnnotateBucket` (state/worker_state.py),
     the one holder of a worker's label index: the flagship, the table
     pipelines and the lookup stages (stages/lookup_stage.py,
     pipelines/table_pipeline.py::lookup_labels) all read it.
 
-    The key is what the build reads: the KB ref, the tiers' ``key()``
+    The key is what the build reads: the KB ref, the tier's ``key()``
     (actor ids, stable across unpickling), ``config.lookup``,
     ``config.annotation`` and ``config.runtime.max_rows_per_conv``;
     frozen dataclasses hash by value, and None means
@@ -217,21 +205,18 @@ def get_annotate_stage(
     does not read (``num_buckets``, ``triple_partitions``,
     ``typing_batch_size``) reuses the stage; a changed lookup,
     annotation or cap knob gets a new one.  The ref from
-    state/kb.py::broadcast_kb is one per KB content per Ray session, so
-    later jobs over the same KB reuse the stage."""
+    state/kb.py::broadcast_kb and the tier from
+    state/sharded_kb.py::shard_kb are one per KB content per Ray
+    session, so later jobs over the same KB reuse the stage."""
     from ..state.worker_state import get_worker_state, ref_key
 
     config = config or DEFAULT_CONFIG
     key = (
         "annotate",
         ref_key(kb_ref),
-        kb_tier.key() if kb_tier is not None else None,
-        lookup_tier.key() if lookup_tier is not None else None,
+        tier.key() if tier is not None else None,
         config.lookup,
         config.annotation,
         config.runtime.max_rows_per_conv,
     )
-    return get_worker_state(
-        key, lambda: AnnotateBucket(kb_ref, config, kb_tier=kb_tier,
-                                    lookup_tier=lookup_tier)
-    )
+    return get_worker_state(key, lambda: AnnotateBucket(kb_ref, config, tier))

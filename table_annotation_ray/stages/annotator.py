@@ -461,7 +461,7 @@ class TableAnnotator:
                     seen.add(m)
                     mentions.append(m)
         # one batch per conversation: a remote-backed index
-        # (state/sharded_lookup.py) serves it in one fan-out round trip
+        # (state/sharded_kb.py) serves it in one fan-out round trip
         results = dict(zip(mentions, self.index.search_batch(mentions, k)))
         # remote-backed KB (state/sharded_kb.py): batch-load every
         # candidate subgraph + type hierarchy before the scoring loops

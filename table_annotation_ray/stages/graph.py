@@ -280,7 +280,6 @@ def pagerank_auto(
     num_buckets: int = 64,
     repartition_to: int = 16,
     num_shards: int = 8,
-    num_cpus_per_shard: float = 0.5,
     threshold: int = AUTO_EDGE_ITERS,
     out_dir: str | None = None,
     driver_below: int = 0,
@@ -322,7 +321,7 @@ def pagerank_auto(
             os.remove(stale)
         pagerank_sharded(
             edges, src=src, dst=dst, damping=damping, iters=iters,
-            num_shards=num_shards, num_cpus_per_shard=num_cpus_per_shard,
+            num_shards=num_shards,
             out_dir=target,
         )
         ranks = rd.read_parquet(target)

@@ -4,8 +4,8 @@ The actor-pool fuzzy lookup of SURVEY.md §2.4 (J1/J2) as its own
 ``map_batches`` stage.  It builds no index of its own: it reads the
 worker's annotate stage (stages/annotate_stage.py::get_annotate_stage,
 the one label index per worker, KB and config — the ES cluster
-replaced by in-worker state), or a sharded lookup tier
-(state/sharded_lookup.py) at real-KB scale.  Either way one emitter,
+replaced by in-worker state), whose index is the sharded KB tier
+(state/sharded_kb.py) at real-KB scale.  Either way one emitter,
 :func:`candidates_table`, deduplicates each batch's mentions and sends
 them through the index's ``search_batch``; repeats across batches are
 memoized by the index's LRU.
@@ -34,7 +34,7 @@ def candidates_table(batch: pa.Table, index, k: int) -> pa.Table:
     """(conv_id, turn_idx, col_slot, mention, ...) →
     (conv_id, turn_idx, col_slot, mention, entity_id, lookup_score, rank).
 
-    ``index`` is a LabelIndex or a ShardedLookupTier.  Each distinct
+    ``index`` is a LabelIndex or a ShardedKB.  Each distinct
     lower-cased mention longer than one char is searched once per batch
     and its top ``k`` replicated to every row that holds it; a null
     mention has no candidates."""
@@ -53,11 +53,11 @@ def candidates_table(batch: pa.Table, index, k: int) -> pa.Table:
     return _rows_table(rows, _CANDIDATES_SCHEMA)
 
 
-def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None,
-                      lookup_tier=None):
+def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None, tier=None):
     """Task-based candidate generation: :func:`candidates_table` with
-    ``k = config.annotation.k`` over ``lookup_tier`` when given, else
-    over the worker's annotate-stage index for (``kb_ref``, ``config``).
+    ``k = config.annotation.k`` over the worker's annotate-stage index
+    for (``kb_ref``, ``config``, ``tier``): the sharded KB tier itself
+    when ``tier`` is given.
 
     A fixed actor pool caps parallelism at its size and holds CPUs for
     the stage lifetime (the repo-wide starvation hazard); plain tasks
@@ -68,7 +68,7 @@ def lookup_candidates(mentions, kb_ref, config: PipelineConfig | None = None,
     cfg = config or DEFAULT_CONFIG
 
     def task(batch: pa.Table) -> pa.Table:
-        index = lookup_tier if lookup_tier is not None else get_annotate_stage(kb_ref, cfg).index
+        index = get_annotate_stage(kb_ref, cfg, tier).index
         return candidates_table(batch, index, cfg.annotation.k)
 
     return mentions.map_batches(task, batch_format="pyarrow")

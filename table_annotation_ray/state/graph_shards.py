@@ -180,7 +180,6 @@ def pagerank_sharded(
     damping: float = 0.85,
     iters: int = 10,
     num_shards: int = 8,
-    num_cpus_per_shard: float = 0.5,
     scratch_dir: str | None = None,
     out_dir: str | None = None,
 ):
@@ -188,7 +187,9 @@ def pagerank_sharded(
     With ``out_dir`` each shard writes its own rank Parquet part and a
     manifest list is returned — node-cardinality state never touches
     the driver (the at-scale path).  Without it, returns a pandas frame
-    (node, rank) — convenient below driver scale."""
+    (node, rank) — convenient below single-process scale.  The shard actors
+    reserve no CPU and are spread over the nodes: reserved actor CPUs
+    left a 1-CPU session too few for its own tasks."""
     import glob
     import shutil
 
@@ -225,7 +226,7 @@ def pagerank_sharded(
     )
 
     actors = [
-        GraphShard.options(num_cpus=num_cpus_per_shard).remote(
+        GraphShard.options(num_cpus=0, scheduling_strategy="SPREAD").remote(
             os.path.join(root, f"shard_{k}.parquet"), k, num_shards, damping
         )
         for k in range(num_shards)

@@ -10,8 +10,8 @@ The reference's ``map_unit_dimension_to_entity`` (knowledge_bases.py:122)
 has no counterpart: nothing in the reference calls it.
 
 :func:`load_kb` is the one reader of KB files, for every path (the
-broadcast image, :func:`kb_digest`, the serve API and both sharded
-tiers).  ``kb_dir`` is a local path or any pyarrow-filesystem URI
+broadcast image, :func:`kb_digest`, the serve API and the sharded
+tier's actors).  ``kb_dir`` is a local path or any pyarrow-filesystem URI
 (``file://``, ``s3://``), holding either layout:
 
 * flat — ``kb_edges.parquet``, ``kb_entity_meta.parquet`` and
@@ -33,10 +33,10 @@ built from the ref (state/worker_state.py) is reused by every later job.
 SCALE NOTE — this in-memory image is the SMALL-KB FAST PATH.  The
 reference's production KB is a 248 GB LMDB (`data/hashmap/
 wd_hashmap_indexing.py:45`); a KB that size must not be broadcast.  The
-scale path is :mod:`.sharded_kb` (KB-subgraph actor tier, entities
-hash-sharded across K actors, batched fetches + per-worker LRU) +
-:mod:`.sharded_lookup` (label-index tier) — both produce BYTE-IDENTICAL
-annotation output (tests/test_sharded_kb.py) and are enabled with
+scale path is :mod:`.sharded_kb`: entities hash-sharded across K
+actors, each serving its shard's subgraphs (batched fetches +
+per-worker LRU) and label index.  It produces BYTE-IDENTICAL
+annotation output (tests/test_sharded_kb.py) and is enabled with
 ``run_kg_pipeline(..., sharded_kb=True)``.
 """
 
@@ -229,43 +229,39 @@ def _read_table(
     return [pylist(table[col]) for col in columns]
 
 
-def load_kb(
-    kb_dir: str, num_shards: int = 1, shard_id: int = 0, labels_only: bool = False
-) -> KBData:
+def load_kb(kb_dir: str, num_shards: int = 1, shard_id: int = 0) -> KBData:
     """The KB image of ``kb_dir`` — the one reader of KB files.
 
     With ``num_shards > 1`` only the rows of entities ``e`` with
     ``owner(e, num_shards) == shard_id``: the shard a sharded tier's
-    actor holds.  ``labels_only`` reads the label table alone (a lookup
-    shard's need)."""
+    actor holds."""
     fs, root = _kb_root(kb_dir)
 
     def read(name: str) -> list[list]:
         return _read_table(fs, root, name, num_shards, shard_id)
 
     kb = KBData()
-    if not labels_only:
-        for src, pid, obj, kind in zip(*read("kb_edges.parquet")):
-            kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
-        for ent, lab, n in zip(*read("kb_entity_meta.parquet")):
-            # a null en_label stored as None would bypass the reader's
-            # "No English Label" default (the key EXISTS) and crash
-            # get_symbol_of_unit_entity's .lower() (code-review r4)
-            if lab is not None:
-                kb.labels[ent] = lab
-            kb.num_edges[ent] = int(n)
+    for src, pid, obj, kind in zip(*read("kb_edges.parquet")):
+        kb.subgraphs.setdefault(src, {}).setdefault(pid, {})[obj] = kind
+    for ent, lab, n in zip(*read("kb_entity_meta.parquet")):
+        # a null en_label stored as None would bypass the reader's
+        # "No English Label" default (the key EXISTS) and crash
+        # get_symbol_of_unit_entity's .lower()
+        if lab is not None:
+            kb.labels[ent] = lab
+        kb.num_edges[ent] = int(n)
     kb.label_rows = list(zip(*read("kb_labels.parquet")))
     return kb
 
 
-# ObjectRefs of ended Ray sessions, held until the process exits.
-# Releasing one after a new ``ray.init`` decrements a count in the NEW
-# session's core worker.  Object ids repeat across local sessions (the
-# driver's job and put counters restart), so that can free a live object
-# of the new session; for an id it never saw, Ray logs "Tried to
-# decrease ref count for nonexistent object".  Each ended session leaves
-# at most worker_state.MAX_PER_NAME handles here; their objects died
-# with it.
+# ObjectRefs and actor handles of ended Ray sessions, held until the
+# process exits.  Releasing one after a new ``ray.init`` decrements a
+# count in the NEW session's core worker.  Object and actor ids repeat
+# across local sessions (the job and put counters restart), so
+# that can free a live object of the new session; for an id it never
+# saw, Ray logs "Tried to decrease ref count for nonexistent object".
+# Each ended session leaves at most worker_state.MAX_PER_NAME entries per
+# state name here; their objects and actors died with it.
 _ENDED_SESSION_REFS: list = []
 
 
@@ -303,14 +299,22 @@ def broadcast_kb(kb_dir: str) -> "ray.ObjectRef":
     repeat across local ``ray.init`` calls."""
     import ray
 
+    return session_state("kb", (kb_digest(kb_dir),), lambda: ray.put(load_kb(kb_dir)))
+
+
+def session_state(name: str, key: tuple, build):
+    """This process's worker-state entry ``(name, session, *key)``, built
+    by ``build`` once per Ray session.  The session is (node id, job
+    id); entries of ``name`` from ended sessions are parked in
+    :data:`_ENDED_SESSION_REFS`, never released into this one."""
+    import ray
+
     from . import worker_state
 
     ctx = ray.get_runtime_context()
     session = (ctx.get_node_id(), ctx.get_job_id())
-    _ENDED_SESSION_REFS.extend(worker_state.pop_state("kb", lambda k: k[1] != session))
-    return worker_state.get_worker_state(
-        ("kb", session, kb_digest(kb_dir)), lambda: ray.put(load_kb(kb_dir))
-    )
+    _ENDED_SESSION_REFS.extend(worker_state.pop_state(name, lambda k: k[1] != session))
+    return worker_state.get_worker_state((name, session, *key), build)
 
 
 class KBReader:

@@ -253,17 +253,11 @@ def _neighborhood_table(
 
 
 class LabelIndex:
-    def __init__(
-        self,
-        kb: KBData,
-        cfg: LookupConfig | None = None,
-        df_override: tuple[dict[str, int], int] | None = None,
-    ):
-        """``df_override=(token_df, n_docs)``: use CORPUS-GLOBAL document
-        frequencies for IDF weighting instead of the locally-counted ones
-        — required when this index holds only a shard of the label table
-        (state/sharded_lookup.py) so bm25 weights match the single
-        index exactly."""
+    def __init__(self, kb: KBData, cfg: LookupConfig | None = None):
+        """IDF weights count ``kb``'s label rows (``token_df``,
+        ``n_docs``); a shard of the label table replaces both with the
+        corpus-global counts (state/sharded_kb.py::KBShardActor), so
+        its bm25 weights match the single index exactly."""
         self.cfg = cfg or LookupConfig()
         # label rows: (entity, label, norm_lower, origin, pr, token_count)
         self.rows: list[tuple[str, str, str, str, float, int]] = []
@@ -299,8 +293,6 @@ class LabelIndex:
                 tokens, tok_off, tok_rows, len(self.rows), self.cfg.two_edit_min_token_len
             )
         self.n_docs = max(1, len(self.rows))
-        if df_override is not None:
-            self.token_df, self.n_docs = df_override
         # bound the per-actor result caches (per query token and per mention)
         self._near = _LRU(lambda tok: self._near_rows([tok])[0], self.cfg.cache_size)
         self._search_cached = _LRU(self._search, self.cfg.cache_size)
@@ -311,9 +303,6 @@ class LabelIndex:
     def nbytes(self) -> int:
         """Bytes held by the neighborhood table's arrays."""
         return sum(p.nbytes() for p in self.table.values())
-
-    def df_stats(self) -> tuple[dict[str, int], int]:
-        return self.token_df, self.n_docs
 
     # ---------------- recall ----------------
     def _near_rows(self, tokens: list[str]) -> list[np.ndarray]:
@@ -401,8 +390,8 @@ class LabelIndex:
         The query-global steps (bm25 normalization by the best hit,
         adaptive threshold from the max ratio, PR log-normalization,
         final mix, sort) live in :func:`finalize_candidates` — this
-        split is what makes the sharded lookup tier
-        (state/sharded_lookup.py) EXACTLY equivalent to the single
+        split is what makes the sharded KB tier's label lookup
+        (state/sharded_kb.py) EXACTLY equivalent to the single
         index WHILE the ``cfg.max_hits`` row cap does not bind: shards
         compute partials over their rows, the router merges and
         finalizes globally.  When a mention's filtered candidate rows
@@ -515,7 +504,7 @@ class LabelIndex:
     def search_batch(self, mentions: list[str], k: int | None = None) -> list[list[tuple[str, float]]]:
         """:meth:`search` over a batch of mentions: the one lookup seam
         of the annotator and the lookup stages, shared with
-        state/sharded_lookup.py::ShardedLookupTier.  Each mention goes
+        state/sharded_kb.py::ShardedKB.  Each mention goes
         through ``self.search``, so a wrapper set on the instance sees
         every lookup; the batch's misses are scored together
         (:meth:`_search`)."""

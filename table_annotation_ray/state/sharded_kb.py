@@ -1,69 +1,104 @@
-"""Sharded KB-subgraph tier — the 100 TB path for the edge store.
+"""Sharded KB tier — the 100 TB path for the edge store and the label index.
 
 The broadcast :func:`state.kb.load_kb` image is the SMALL-KB fast path:
-it builds every subgraph into driver dicts and broadcasts them, which
-caps out far below the reference's real KB (a 248 GB LMDB,
-`data/hashmap/wd_hashmap_indexing.py:45`).  This tier is the scale
-path: K dedicated actors each own the ``crc32(entity) % K`` shard of the
-edge, meta and label tables, read by the same loader,
-``load_kb(kb_dir, K, i)``, from either on-disk layout on any filesystem.
-On the hash-bucketed layout :func:`state.kb_build.build_edges_from_dump`
-writes, each actor reads only the bucket files that can hold its
-entities.  Annotate workers talk to the tier through
-:class:`ShardedKBReader`, a drop-in :class:`~.kb.KBReader` whose three
-primitive getters are backed by batched shard round trips + a
-per-worker LRU (the reference's popularity-cutoff cache,
-`annotation_models.py:119-147`, generalized to an LRU).
+it builds every subgraph into in-memory dicts and broadcasts them, and
+every worker builds its own label index over the whole label table;
+both cap out far below the reference's real KB (a 248 GB LMDB,
+`data/hashmap/wd_hashmap_indexing.py:45`, and an ES index of ~10^8
+labels).  This tier is the scale path: K dedicated actors each own the
+``crc32(entity) % K`` shard of the edge, meta and label tables, read
+once by the same loader, ``load_kb(kb_dir, K, i)``, from either on-disk
+layout on any filesystem (on the hash-bucketed layout
+:func:`state.kb_build.build_edges_from_dump` writes, an actor reads only
+the bucket files that can hold its entities).  Each actor holds a
+:class:`~.kb.KBReader` and a :class:`~.lookup_index.LabelIndex` over its
+shard, so one process per shard serves both.
 
 Usage::
 
-    tier = ShardedKBTier.create_from_parquet(kb_dir, num_shards=4)  # driver side
-    AnnotateBucket(None, cfg, kb_tier=tier, lookup_tier=...)
-    # or run_kg_pipeline(..., sharded_kb=True), which builds both tiers
+    tier = shard_kb(kb_dir, num_shards=4, lookup=cfg.lookup)  # the job's process
+    AnnotateBucket(None, cfg, tier)
+    # or run_kg_pipeline(..., sharded_kb=True), which calls shard_kb
 
-Equivalence: the shard union is the full table and every derived getter
+:func:`shard_kb` builds one tier per (Ray session, KB content, K,
+lookup config) and keeps it in the calling process's worker state, like
+:func:`~.kb.broadcast_kb`'s ref: later jobs reuse its actors, and the
+annotate state keyed on its actor ids survives across jobs.  The actors
+reserve no CPU (an actor pool must never hold the CPUs the annotate
+tasks need) and are spread over the nodes.
+
+KB subgraphs.  Annotate workers read the edge store through
+:class:`ShardedKBReader`, a drop-in :class:`~.kb.KBReader` whose three
+primitive getters are backed by batched shard round trips + a
+per-worker LRU (the reference's popularity-cutoff cache,
+`annotation_models.py:119-147`, generalized to an LRU).  The shard
+union is the full table and every derived getter
 (`get_types_of_entity`, `get_supertypes_of_type`,
 `get_symbol_of_unit_entity`) routes through the primitives, so
 annotation output is IDENTICAL to the broadcast image
-(tests/test_sharded_kb.py asserts byte-equality of the triples).
+(tests/test_sharded_kb.py).  Round-trip budget per conversation (via
+:meth:`ShardedKBReader.prefetch`, called once per conversation by the
+annotator's lookup step): one batched fan-out for the candidate
+entities, one for their 1-hop entity neighbors' metadata (popularity
+weights in subgraph intersection), and one per P279 level for the
+3-level type hierarchy — ~5 batched rounds instead of one RPC per
+entity per loop iteration.
 
-Round-trip budget per conversation (via :meth:`ShardedKBReader.prefetch`,
-called once per conversation by the annotator's lookup step):
-one batched fan-out for the candidate entities, one for their 1-hop
-entity neighbors' metadata (popularity weights in subgraph
-intersection), and one per P279 level for the 3-level type hierarchy —
-~5 batched rounds instead of one RPC per entity per loop iteration.
+Label index.  The tier itself is the annotator's ``search_batch``
+index: a batch's unique uncached mentions go to every shard in one
+round trip (K parallel actor calls), each shard scores its rows
+(``LabelIndex.scored_candidates_batch``: per-entity partials only),
+and the tier merges the partials and applies the query-global scoring
+tail (:func:`~.lookup_index.finalize_candidates`).  The shards' IDF
+weights are corpus-global: at build, the shards' disjoint
+(token_df, n_docs) partials are summed and pushed back, so no process
+holds the whole label table.  The result is EXACTLY the single
+index's while ``cfg.max_hits`` does not bind.  A mention with more
+filtered candidate rows than max_hits is truncated layout-dependently
+in ANY index build; the tier then evaluates the union of per-shard
+top-max_hits rows — a superset of a single index's rows (recall never
+lower; see ``LabelIndex.scored_candidates``).
 
-Like state/sharded_lookup.py, this is a deliberate drop to raw
-``@ray.remote`` actors: a large read-only index serving point lookups
-is the one shape the Dataset API cannot express.
+This is a deliberate drop to raw ``@ray.remote`` actors: a large
+read-only index serving point lookups is the one shape the Dataset API
+cannot express.
 """
 
 from __future__ import annotations
 
 import ray
 
+from ..config import LookupConfig
 from .kb import (
     ENTITY_RANKS,
     SUBCLASS_OF,
     TRANSITIVE_PIDS,
     TYPE_PROPERTIES,
     KBReader,
+    kb_digest,
     load_kb,
     owner,
+    session_state,
 )
+from .lookup_index import LabelIndex, finalize_candidates, merge_candidates
 
 
 @ray.remote
 class KBShardActor:
-    """Owns one entity-hash shard of the KB graph, loaded by the actor
-    itself (the driver never holds the full KB); serves batched point
-    lookups through :class:`~.kb.KBReader`, so a missing id gets the
-    in-memory reader's defaults."""
+    """Owns one entity-hash shard of the KB, loaded by the actor itself
+    (no process holds the full KB): batched point lookups through
+    a :class:`~.kb.KBReader` (a missing id gets the in-memory reader's
+    defaults) and shard-local label scoring through a
+    :class:`~.lookup_index.LabelIndex`, whose IDF weighting counts only
+    the shard's rows until :meth:`set_df_stats` installs the
+    corpus-global document frequencies."""
 
-    def __init__(self, kb_dir: str, num_shards: int, shard_id: int):
-        self.reader = KBReader(load_kb(kb_dir, num_shards, shard_id))
+    def __init__(self, kb_dir: str, num_shards: int, shard_id: int, cfg: LookupConfig):
+        kb = load_kb(kb_dir, num_shards, shard_id)
+        self.reader = KBReader(kb)
+        self.index = LabelIndex(kb, cfg)
 
+    # -- KB subgraphs ------------------------------------------------------
     def fetch(self, entity_ids: list[str]) -> list[tuple[dict, str, int]]:
         """(subgraph, label, num_edges) per id."""
         r = self.reader
@@ -82,6 +117,21 @@ class KBShardActor:
 
     def num_entities(self) -> int:
         return len(self.reader.kb.subgraphs)
+
+    # -- label index -------------------------------------------------------
+    def scored_batch(self, mentions: list[str]) -> list[dict]:
+        return self.index.scored_candidates_batch(mentions)
+
+    def num_rows(self) -> int:
+        return len(self.index.rows)
+
+    def df_partial(self) -> tuple[dict, int]:
+        """Locally-counted (token_df, n_docs) over this shard's rows —
+        shards are disjoint, so summing partials gives the global."""
+        return self.index.token_df, len(self.index.rows)
+
+    def set_df_stats(self, stats: tuple) -> None:
+        self.index.token_df, self.index.n_docs = stats
 
 
 class ShardedKBReader(KBReader):
@@ -247,35 +297,78 @@ class ShardedKBReader(KBReader):
         return gaz
 
 
-class ShardedKBTier:
-    """Driver-side handle: creates the shard actors and hands out
-    per-worker readers.  Pass the tier (it pickles as actor handles +
-    shard count) into the annotate stage instead of a KB image."""
+class ShardedKB:
+    """Caller-side handle of the K shard actors: hands out per-worker
+    KB readers (:meth:`make_reader`) and is itself the label index
+    (:meth:`search_batch`).  Pass it to the annotate stage instead of a
+    KB image; it pickles as actor handles + shard count + config."""
 
-    def __init__(self, actors: list, num_shards: int):
+    def __init__(self, actors: list, cfg: LookupConfig):
         self.actors = actors
-        self.num_shards = num_shards
+        self.num_shards = len(actors)
+        self.cfg = cfg
+        self._cache: dict[str, tuple] = {}
 
     def key(self) -> tuple:
         """Stable identity across pickling (worker-state cache key)."""
         return tuple(a._actor_id.hex() for a in self.actors)
 
     @classmethod
-    def create_from_parquet(
-        cls,
-        kb_dir: str,
-        num_shards: int = 4,
-        num_cpus_per_shard: float = 0.5,
-    ) -> "ShardedKBTier":
-        """Each actor loads its own shard of ``kb_dir`` with
-        :func:`~.kb.load_kb` — the driver never materializes the KB."""
+    def create(cls, kb_dir: str, num_shards: int, cfg: LookupConfig) -> "ShardedKB":
+        """Start the actors (each loads its own shard of ``kb_dir``),
+        then sum their disjoint IDF partials and push the corpus-global
+        stats back.  Use :func:`shard_kb`, which builds one tier per
+        session and KB."""
         actors = [
-            KBShardActor.options(num_cpus=num_cpus_per_shard).remote(
-                kb_dir=kb_dir, num_shards=num_shards, shard_id=i
+            KBShardActor.options(num_cpus=0, scheduling_strategy="SPREAD").remote(
+                kb_dir, num_shards, i, cfg
             )
             for i in range(num_shards)
         ]
-        return cls(actors, num_shards)
+        token_df: dict[str, int] = {}
+        n_docs = 0
+        for part_df, part_n in ray.get([a.df_partial.remote() for a in actors]):
+            n_docs += part_n
+            for tok, c in part_df.items():
+                token_df[tok] = token_df.get(tok, 0) + c
+        stats = (token_df, max(1, n_docs))
+        ray.get([a.set_df_stats.remote(stats) for a in actors])
+        return cls(actors, cfg)
 
     def make_reader(self, cache_size: int = 200_000) -> ShardedKBReader:
         return ShardedKBReader(self.actors, self.num_shards, cache_size)
+
+    def search_batch(self, mentions: list[str], k: int | None = None) -> list[list[tuple[str, float]]]:
+        """Fan out the unique uncached mentions to every shard, merge,
+        finalize.  One round trip of K actor calls per batch."""
+        # answer the batch from a LOCAL view first: FIFO eviction below
+        # may evict a mention the CURRENT batch still needs (or, with
+        # more uniques than cache_size, the new entries evict each
+        # other) — reading back through self._cache raised KeyError
+        local: dict = {m: self._cache[m] for m in mentions if m in self._cache}
+        uniq = [m for m in dict.fromkeys(mentions) if m not in local]
+        if uniq:
+            futures = [a.scored_batch.remote(uniq) for a in self.actors]
+            per_shard = ray.get(futures)  # K lists aligned with uniq
+            for i, m in enumerate(uniq):
+                merged = merge_candidates([shard[i] for shard in per_shard])
+                local[m] = self._cache[m] = finalize_candidates(merged, self.cfg)
+                if len(self._cache) > self.cfg.cache_size:
+                    self._cache.pop(next(iter(self._cache)))
+        return [list(local[m][:k]) if k else list(local[m]) for m in mentions]
+
+    def search(self, mention: str, k: int | None = None) -> list[tuple[str, float]]:
+        return self.search_batch([mention], k)[0]
+
+
+def shard_kb(kb_dir: str, num_shards: int = 4, lookup: LookupConfig | None = None) -> ShardedKB:
+    """The :class:`ShardedKB` of ``kb_dir``, one per (Ray session, KB
+    content, ``num_shards``, lookup config), kept in the calling process's
+    worker state like :func:`~.kb.broadcast_kb`'s ref: a later job over the
+    same KB reuses its actors, and a tier of an ended session is parked,
+    never released into the new one."""
+    lookup = lookup or LookupConfig()
+    return session_state(
+        "sharded_kb", (kb_digest(kb_dir), num_shards, lookup),
+        lambda: ShardedKB.create(kb_dir, num_shards, lookup),
+    )

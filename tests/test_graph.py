@@ -71,7 +71,6 @@ def test_pagerank_auto_dispatch_and_equivalence(ray_session):
     # threshold=1 forces the shard tier; ranks must agree to rtol 1e-9
     sh_ranks, engine2 = pagerank_auto(
         rd.from_pandas(edges), iters=6, threshold=1, num_shards=3,
-        num_cpus_per_shard=0,
     )
     assert engine2 == "sharded"
     a = ds_ranks.to_pandas().sort_values("node").reset_index(drop=True)
@@ -121,7 +120,7 @@ def test_pagerank_sharded_matches_dataset(ray_session):
     )
     got = pagerank_sharded(
         rd.from_pandas(edges).repartition(4), iters=8,
-        num_shards=3, num_cpus_per_shard=0,
+        num_shards=3,
     )
     assert got["node"].tolist() == want["node"].tolist()
     np.testing.assert_allclose(got["rank"], want["rank"], rtol=1e-9)
@@ -146,8 +145,7 @@ def test_pagerank_sharded_reused_scratch_and_empty(ray_session, tmp_path):
          "dst": (np.arange(30, dtype=np.int64) + 1) % 30}
     )
     r1 = pagerank_sharded(
-        rd.from_pandas(e1), iters=3, num_shards=4,
-        num_cpus_per_shard=0, scratch_dir=d,
+        rd.from_pandas(e1), iters=3, num_shards=4, scratch_dir=d,
     )
     assert set(r1["node"]) == set(range(30))
     # v2 in the SAME scratch dir: two edges only — stale shard files
@@ -155,15 +153,14 @@ def test_pagerank_sharded_reused_scratch_and_empty(ray_session, tmp_path):
     e2 = pd.DataFrame({"src": np.array([100, 101], dtype=np.int64),
                        "dst": np.array([101, 100], dtype=np.int64)})
     r2 = pagerank_sharded(
-        rd.from_pandas(e2), iters=3, num_shards=4,
-        num_cpus_per_shard=0, scratch_dir=d,
+        rd.from_pandas(e2), iters=3, num_shards=4, scratch_dir=d,
     )
     assert set(r2["node"]) == {100, 101}
     # empty edges: empty result, no crash
     r3 = pagerank_sharded(
         rd.from_pandas(pd.DataFrame({"src": pd.Series([], dtype=np.int64),
                                      "dst": pd.Series([], dtype=np.int64)})),
-        iters=2, num_shards=2, num_cpus_per_shard=0,
+        iters=2, num_shards=2,
     )
     assert len(r3) == 0
 
@@ -180,8 +177,7 @@ def test_pagerank_sharded_cleans_tmp_scratch(ray_session):
     before = set(glob.glob("/tmp/pr_shards_*"))
     e = pd.DataFrame({"src": np.arange(10, dtype=np.int64),
                       "dst": (np.arange(10, dtype=np.int64) + 1) % 10})
-    pagerank_sharded(rd.from_pandas(e), iters=2, num_shards=2,
-                     num_cpus_per_shard=0)
+    pagerank_sharded(rd.from_pandas(e), iters=2, num_shards=2)
     after = set(glob.glob("/tmp/pr_shards_*"))
     assert after <= before
 

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -119,3 +120,58 @@ def test_null_conv_id_is_a_clear_error():
                        "turn_idx": pa.array([0, 0], pa.int32()), "text": ["x", "y"]})
     with pytest.raises(ValueError, match="conv_id"):
         add_bucket(bucket, 8)
+
+
+# ------------------------------------------------ the same shapes through Ray
+
+_CITIES = ["Paris | France", "Berlin | Germany", "Hamburg | Germany", "Frnace | 1994"]
+# conv_id -> [(turn_idx, text)]: the strategies' shapes above, drawn by hand
+_HOSTILE_CONVS = {
+    "unseen \U0001d518\u0301": [(0, "\U0001d518\U0001d52b | Paris"), (1, "\x07 | \u0301x"),
+                              (2, "Berlin | \U0001f600\U0001f600")],
+    "blank": [(0, ""), (1, " "), (2, "\t\n"), (3, None), (4, "　 |  ")],
+    "one_turn": [(0, "Paris | France")],
+    "sparse": [(-3, "Paris | France"), (0, "Berlin | Germany"), (5, "Hamburg | Germany"),
+               (2**31 - 1, "Paris | France")],
+    "all_literal": [(0, "1994 | 3.5 | 12 kg"), (1, "2021-03-04 | $5 | 50%"), (2, "-7 | 1e9 | 0")],
+    "mixed": [(t, text) for t, text in enumerate(_CITIES)],
+    # 10,000 turns: the map-side cap ships DEFAULT_CONFIG's 400 of them
+    "hot": [(t, _CITIES[t % 3]) for t in range(10_000)],
+}
+
+
+def _transcript(path, convs) -> str:
+    rows = [(c, t, x) for c, turns in convs.items() for t, x in turns]
+    conv, turn, text = zip(*rows)
+    pq.write_table(pa.table({"conv_id": pa.array(conv, pa.string()),
+                             "turn_idx": pa.array(turn, pa.int32()),
+                             "text": pa.array(text, pa.string())}), path)
+    return path
+
+
+def _spo(table) -> set:
+    return set(zip(table["subj"].to_pylist(), table["pred"].to_pylist(), table["obj"].to_pylist()))
+
+
+@pytest.mark.parametrize("sharded_kb", [False, True], ids=["broadcast", "sharded"])
+def test_hostile_transcript_through_ray(ray_session, synth_root, kb_objects, tmp_path, sharded_kb):
+    """One flagship job per KB path over the hostile shapes plus a
+    10,000-turn conversation gives the in-process stage's triples, and a
+    null conv_id is a clear error; each job under a deadline."""
+    import os
+
+    from table_annotation_ray.pipelines.kg_pipeline import run_kg_pipeline
+
+    kb_dir = os.path.join(synth_root, "kb")
+    path = _transcript(str(tmp_path / "hostile.parquet"), _HOSTILE_CONVS)
+    want = _spo(AnnotateBucket(kb_objects[0], DEFAULT_CONFIG).annotate_turns_table(pq.read_table(path)))
+    assert want
+    with _deadline(300):
+        got = run_kg_pipeline(path, kb_dir, sharded_kb=sharded_kb).to_pandas()
+    assert set(zip(got["subj"], got["pred"], got["obj"])) == want
+
+    # Ray Data re-raises a task's ValueError as RayTaskError(UserCodeException),
+    # which keeps the ValueError's traceback text but not its type
+    null = _transcript(str(tmp_path / "null.parquet"), {"c": [(0, "Paris | France")], None: [(0, "x")]})
+    with _deadline(300), pytest.raises(Exception, match=r"ValueError: 1 null conv_id value\(s\)"):
+        run_kg_pipeline(null, kb_dir, sharded_kb=sharded_kb).to_pandas()

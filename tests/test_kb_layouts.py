@@ -82,14 +82,14 @@ def _rows(synth_root, kb_dir, **kwargs) -> pd.DataFrame:
 
 def test_dump_built_kb_gives_the_flat_copys_rows(ray_session, synth_root, dump_kb):
     """A KB written by build_edges_from_dump + build_labels_from_dump runs
-    the flagship with the broadcast KB and with the sharded tiers, and
+    the flagship with the broadcast KB and with the sharded tier, and
     both give the rows of a flat copy of the same KB."""
     kb_dir, flat = dump_kb
     want = _rows(synth_root, flat)
     assert len(want) > 0
     pd.testing.assert_frame_equal(_rows(synth_root, kb_dir), want)
     pd.testing.assert_frame_equal(
-        _rows(synth_root, kb_dir, sharded_kb=True, num_cpus_per_shard=0), want
+        _rows(synth_root, kb_dir, sharded_kb=True), want
     )
 
 
@@ -98,7 +98,7 @@ def test_file_uri_kb_on_the_sharded_path(ray_session, synth_root):
     kb_dir = os.path.join(synth_root, "kb")
     want = _rows(synth_root, kb_dir)
     assert len(want) > 0
-    got = _rows(synth_root, "file://" + kb_dir, sharded_kb=True, num_cpus_per_shard=0)
+    got = _rows(synth_root, "file://" + kb_dir, sharded_kb=True)
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -124,7 +124,6 @@ def test_shards_partition_the_kb(synth_root, dump_kb, parted_kb, layout, num_sha
             union.update(part)
         assert all(owner(r[0], num_shards) == i for r in shard.label_rows)
         label_rows += shard.label_rows
-        assert load_kb(kb_dir, num_shards, i, labels_only=True).label_rows == shard.label_rows
     assert subgraphs == full.subgraphs
     assert labels == full.labels
     assert num_edges == full.num_edges

@@ -44,7 +44,7 @@ def _deletions2(token):
 class DictIndex:
     """The former recall layer, verbatim in behaviour."""
 
-    def __init__(self, kb, cfg, df_override=None):
+    def __init__(self, kb, cfg):
         self.cfg = cfg
         self.rows, self.exact = [], {}
         self.token_index, self.deletion_index, self.deletion2_index = {}, {}, {}
@@ -67,8 +67,6 @@ class DictIndex:
                     for d in _deletions2(tok):
                         self.deletion2_index.setdefault(d, []).append(row_id)
         self.n_docs = max(1, len(self.rows))
-        if df_override is not None:
-            self.token_df, self.n_docs = df_override
 
     def _idf_of_row(self, rid):
         toks = self.rows[rid][2].split()
@@ -128,11 +126,16 @@ def _edits(tok, rng):
     return out
 
 
-def _assert_same(labels, queries, two, df_override=None):
+def _assert_same(labels, queries, two, df_stats=None):
+    """``df_stats=(token_df, n_docs)`` replaces both indexes' IDF counts
+    after the build, as a sharded KB tier's shard actor installs the
+    corpus-global counts (state/sharded_kb.py::KBShardActor.set_df_stats)."""
     kb = _kb(labels)
     cfg = LookupConfig(two_edit_min_token_len=two)
-    new = LabelIndex(kb, cfg, df_override=df_override)
-    old = DictIndex(kb, cfg, df_override=df_override)
+    new = LabelIndex(kb, cfg)
+    old = DictIndex(kb, cfg)
+    if df_stats is not None:
+        new.token_df, new.n_docs = old.token_df, old.n_docs = df_stats
     assert [r[:3] for r in new.rows] == [r[:3] for r in old.rows]
     assert new.token_df == old.token_df and new.n_docs == old.n_docs
     for q in queries:
@@ -179,8 +182,8 @@ def test_edge_labels_match_dict_index(two):
 def test_df_override_matches_dict_index(two):
     df = {"paris": 7, "new": 3, "york": 1000, "ab\x00": 2}
     queries = ["paris", "pari", "new yrok", "ab\x00", "abx", "john travlta"]
-    new = _assert_same(EDGE_LABELS, queries, two, df_override=(df, 5000))
-    assert new.df_stats() == (df, 5000)
+    new = _assert_same(EDGE_LABELS, queries, two, df_stats=(df, 5000))
+    assert (new.token_df, new.n_docs) == (df, 5000)
 
 
 @pytest.mark.parametrize("two", TWO_EDIT_LENS)

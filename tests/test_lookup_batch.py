@@ -121,11 +121,8 @@ def test_null_en_label_keeps_its_meaning(synth_root, tmp_path):
 
 
 def test_sharded_loaders_reject_null_kb_values(synth_root, tmp_path):
-    """A shard's load, the lookup tier's label-only read included, rejects
-    a null KB value like the broadcast load."""
+    """A shard's load rejects a null KB value like the broadcast load."""
     kb_dir = _kb_copy(synth_root, tmp_path, "kb_labels.parquet", "pr")
-    with pytest.raises(ValueError, match="kb_labels.parquet: column 'pr' has 1 null"):
-        load_kb(kb_dir, 1, 0, labels_only=True)
     with pytest.raises(ValueError, match="kb_labels.parquet: column 'pr' has 1 null"):
         load_kb(kb_dir, 1, 0)
 

@@ -1,4 +1,4 @@
-"""Sharded lookup-actor tier ≡ single-index lookup (state/sharded_lookup.py)."""
+"""Sharded KB tier's label lookup ≡ single-index lookup (state/sharded_kb.py)."""
 
 import os
 
@@ -7,11 +7,9 @@ import pytest
 
 @pytest.fixture(scope="module")
 def tier(ray_session, synth_root):
-    from table_annotation_ray.state.sharded_lookup import ShardedLookupTier
+    from table_annotation_ray.state.sharded_kb import shard_kb
 
-    return ShardedLookupTier.create_from_parquet(
-        os.path.join(synth_root, "kb"), num_shards=4, num_cpus_per_shard=0
-    )
+    return shard_kb(os.path.join(synth_root, "kb"), num_shards=4)
 
 
 MENTIONS = [
@@ -42,17 +40,15 @@ def test_shards_are_balanced_partition(tier, kb_objects):
 
 
 def test_parquet_tier_equals_single_index(ray_session, synth_root, kb_objects):
-    """create_from_parquet (driverless: shard actors load their own
-    label slices, IDF stats merged from disjoint partials) must score
-    exactly like the single index."""
+    """shard_kb (shard actors load their own label slices, IDF stats
+    merged from disjoint partials) must score exactly like the
+    single index."""
     import os
 
-    from table_annotation_ray.state.sharded_lookup import ShardedLookupTier
+    from table_annotation_ray.state.sharded_kb import shard_kb
 
     _, _, idx = kb_objects
-    tier = ShardedLookupTier.create_from_parquet(
-        os.path.join(synth_root, "kb"), num_shards=3, num_cpus_per_shard=0
-    )
+    tier = shard_kb(os.path.join(synth_root, "kb"), num_shards=3)
     for m in MENTIONS:
         single = idx.search(m)
         sharded = tier.search(m)
@@ -89,7 +85,7 @@ def test_sharded_stage_in_pipeline(ray_session, kb_objects, synth_root, tier):
         os.path.join(synth_root, "transcripts.parquet")
     ).map_batches(clean_and_explode, batch_format="pyarrow").materialize()
 
-    sharded = lookup_candidates(mentions, kb_ref, lookup_tier=tier).to_pandas()
+    sharded = lookup_candidates(mentions, kb_ref, tier=tier).to_pandas()
     assert len(sharded) > 0
     assert set(sharded.columns) == {
         "conv_id", "turn_idx", "col_slot", "mention", "entity_id",

@@ -367,21 +367,38 @@ def test_sniff_encoding_utf32_before_utf16():
     assert delimited.sniff_encoding(be) == "utf-32"
 
 
-def test_annotate_bucket_rejects_single_tier_without_kb():
-    """kb_ref=None with only one tier used to die with an opaque
+def test_annotate_bucket_rejects_no_kb_and_no_tier():
+    """kb_ref=None without a tier used to die with an opaque
     AttributeError deep in the ctor; now a ValueError says what to pass."""
     import pytest as _pytest
 
     from table_annotation_ray.stages.annotate_stage import AnnotateBucket
 
+    with _pytest.raises(ValueError, match=r"needs a KB: the broadcast KB image \(kb_ref\) or a ShardedKB tier"):
+        AnnotateBucket(None)
+    with _pytest.raises(ValueError, match="needs a KB"):
+        AnnotateBucket(None, tier=None)
+
+
+def test_annotate_bucket_rejects_a_tier_of_another_lookup_config():
+    """A sharded tier scores with the lookup config it was built with, so
+    a job with another ``cfg.lookup`` must not read it."""
+    from dataclasses import replace
+
+    import pytest as _pytest
+
+    from table_annotation_ray.config import DEFAULT_CONFIG, LookupConfig
+    from table_annotation_ray.stages.annotate_stage import AnnotateBucket
+
     class FakeTier:
+        cfg = LookupConfig()
+
         def make_reader(self):  # pragma: no cover - never reached
             raise AssertionError
 
-    with _pytest.raises(ValueError, match="lookup_tier is None"):
-        AnnotateBucket(None, kb_tier=FakeTier(), lookup_tier=None)
-    with _pytest.raises(ValueError, match="kb_tier is None"):
-        AnnotateBucket(None, kb_tier=None, lookup_tier=object())
+    cfg = replace(DEFAULT_CONFIG, lookup=replace(DEFAULT_CONFIG.lookup, label_token_diff=0))
+    with _pytest.raises(ValueError, match="another lookup config"):
+        AnnotateBucket(None, cfg, FakeTier())
 
 
 def test_read_documents_jsonl_matches_parquet(ray_session, tmp_path):
