@@ -58,11 +58,6 @@ def lcs_length(a: str, b: str) -> int:
     return bin(row).count("1")
 
 
-def indel_distance(a: str, b: str) -> int:
-    """Insert/delete edit distance (no substitutions)."""
-    return len(a) + len(b) - 2 * lcs_length(a, b)
-
-
 def ratio(a: str, b: str) -> float:
     """Normalized indel similarity in [0, 1]."""
     total = len(a) + len(b)

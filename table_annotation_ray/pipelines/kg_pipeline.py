@@ -157,6 +157,10 @@ def run_kg_pipeline(
     else:
         kb_ref = broadcast_kb(kb_dir)
     triples = triples_from_turns(read_transcripts(transcripts_path), kb_ref, cfg, tier)
+    # a task's own error reaches the caller as its type (wrapped in
+    # RayTaskError), not as UserCodeException: a null conv_id is a
+    # ValueError.  Set on this job's DataContext copy, not the global one.
+    triples.context.raise_original_map_exception = True
     if out_dir is not None:
         from dataclasses import asdict
         from datetime import datetime, timezone

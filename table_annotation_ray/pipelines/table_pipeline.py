@@ -40,6 +40,33 @@ def _bucket_tables(ds: rd.Dataset, num_buckets: int = TABLE_BUCKETS) -> rd.Datas
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
+def _map_table_buckets(ds: rd.Dataset, fn, num_buckets: int = TABLE_BUCKETS) -> rd.Dataset:
+    """``fn`` over whole buckets of tables: one sort on the bucket into
+    ``R = min(num_buckets, max(2, cluster CPUs))`` contiguous bucket
+    ranges, then ``fn`` per range block.  Every map block also sends one
+    pad row (null ``table_id``, which :func:`_group_tables` drops) into
+    each range, so every reducer block holds a row and keeps the table's
+    schema: Ray's sort gives a reducer without rows a schema-less block,
+    which it logs as a schema change and passes through ``fn`` uncalled.
+    Reads ``ray.cluster_resources()``: the caller owns the session."""
+    import ray
+
+    ranges = min(num_buckets, max(2, int(ray.cluster_resources().get("CPU", 1))))
+    starts = [num_buckets * i // ranges for i in range(ranges)]
+
+    def pad(batch: pa.Table) -> pa.Table:
+        pads = [pa.array(starts, f.type) if f.name == "__tb_bkt" else pa.nulls(ranges, f.type)
+                for f in batch.schema]
+        return pa.concat_tables([batch, pa.Table.from_arrays(pads, schema=batch.schema)])
+
+    return (
+        _bucket_tables(ds, num_buckets)
+        .map_batches(pad, batch_format="pyarrow")
+        .sort("__tb_bkt", boundaries=starts[1:])
+        .map_batches(fn, batch_format="pyarrow", batch_size=None)
+    )
+
+
 def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
     tables: dict[str, list[tuple[int, list[str]]]] = {}
     for tid, idx, cells in zip(
@@ -47,7 +74,8 @@ def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
         batch["row_idx"].to_pylist(),
         batch["cells"].to_pylist(),
     ):
-        tables.setdefault(tid, []).append((idx, cells))
+        if tid is not None:  # not a pad row of _map_table_buckets
+            tables.setdefault(tid, []).append((idx, cells))
     return {
         tid: [cells for _, cells in sorted(rows)] for tid, rows in tables.items()
     }
@@ -75,11 +103,8 @@ def preprocess_tables(
 ) -> rd.Dataset:
     """Dataset of table rows → one row per table with the preprocessing
     JSON (orientation/header/key/typing) as a string column."""
-    return (
-        _bucket_tables(tables_ds)
-        .groupby("__tb_bkt")
-        .map_groups(_preprocess_group, batch_format="pyarrow",
-                    fn_kwargs={"kb_ref": kb_ref, "seed": seed})
+    return _map_table_buckets(
+        tables_ds, lambda batch: _preprocess_group(batch, kb_ref, seed)
     )
 
 
@@ -236,8 +261,4 @@ def annotate_tables(
             {"table_id": pa.array(ids, pa.string()), "annotated": pa.array(payloads, pa.string())}
         )
 
-    return (
-        _bucket_tables(tables_ds)
-        .groupby("__tb_bkt")
-        .map_groups(run, batch_format="pyarrow")
-    )
+    return _map_table_buckets(tables_ds, run)

@@ -100,12 +100,6 @@ def load_tables(path_or_bytes, filename: str = "") -> list[tuple[str, list[list[
     return [("tableFromTextFile_0", txt_to_table(payload))]
 
 
-def load_table(path_or_bytes, filename: str = "") -> list[list[str]]:
-    """Single-table dispatch: first table of the file."""
-    tables = load_tables(path_or_bytes, filename)
-    return tables[0][1] if tables else []
-
-
 def read_tables_from_files(paths: str | list[str]) -> rd.Dataset:
     """Directory/list of delimited files → Dataset of
     (table_id, row_idx, cells:list<string>) — one logical table per file."""

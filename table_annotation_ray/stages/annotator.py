@@ -4,25 +4,63 @@ From-scratch reimplementation of the reference's ``Baseline_Model``
 semantics (`annotation/annot_scripts/annotation_models.py:33-1131`) and
 its 4-loop driver (`annotation/table_annotation.py:51-112`) for ONE
 logical table (= one conversation).  The loops are inherently
-sequential with shared mutable caches, so they run inside a single
-``map_groups`` call per conversation (SURVEY.md §7 "hard parts") — the
-Ray-level parallelism is ACROSS conversations (see annotate_stage.py).
+sequential, so they run inside a single call per conversation (SURVEY.md
+§7 "hard parts") — the Ray-level parallelism is ACROSS conversations
+(see annotate_stage.py).
+
+Per-table layout.  :meth:`TableAnnotator._lookup_task` builds one
+candidate table right after the batched lookup, and every later step is
+a pass over it:
+
+  cells        cell id -> (row, col), entity columns in order, rows in
+               order within a column (``col_cells[col]`` is a range);
+  cell_start   CSR offsets: cell c's candidates are ids
+               ``cell_start[c]:cell_start[c+1]``;
+  c_code       candidate id -> local entity code (``ent_ids[code]`` is
+               the KB id), ``c_sim`` its lookup score, ``score`` its
+               current entity score, ``pc_count``/``pc_coeff`` its
+               potential-CPA matches (last scoring pass);
+  e_literal, e_pids, e_flat, e_levels
+               each entity's KB facts (literal subgraph, pids, flat
+               types, level sets), resolved once per table from
+               :class:`ActorCaches`;
+  context edges
+               a candidate of column ``col`` has one edge per column of
+               ``ctx_cols[col]`` (the other entity columns, then the
+               literal columns to its right) at ``c_edge0[cand] + p``:
+               ``e_score`` and ``e_rids`` (the set of relation ids seen on
+               it) are filled by :meth:`_context_scoring`; the edge weight
+               depends only on the two columns, so it is kept per column
+               and position (``ctx_weights``).
+
+CEA (``cea[cell]`` = [(entity code, score)]), CTA and CPA of the current
+loop are small dicts and lists over those ids.  The passes are flat
+Python loops: on the median served table (8 rows, 16 candidates) a
+NumPy call costs more than the per-candidate work it would replace, and
+every float is accumulated in the reference's order, so results are
+bit-identical to the dict-per-candidate model (tests/annotator_oracle.py,
+the parity oracle of tests/test_annotator_core.py).
 
 Cross-conversation caches (entity-pair relations, hierarchical types,
-type graphs, subgraphs) live on the owning actor and are passed in via
-:class:`ActorCaches` — a strict superset of the reference's per-table
-caches ST6/ST7 (annotation_models.py:119-147), valid because they
-depend only on the KB, not on the table.
+type graphs, subgraphs, literal matches) live on the owning actor and
+are passed in via :class:`ActorCaches` — a strict superset of the
+reference's per-table caches ST6/ST7 (annotation_models.py:119-147),
+valid because they depend only on the KB (and, for literal matches, the
+cell text), not on the table.
 
 Documented divergences from the reference (each makes results
-deterministic or fixes a latent bug; flagged inline):
+deterministic or fixes a latent bug):
   D1: ties broken by id string everywhere the reference relies on dict
-      insertion order (annotation_models.py:867-893, 1017-1024, 1104-1124).
+      insertion order (annotation_models.py:867-893, 1017-1024,
+      1104-1124): ``_pair_relations``, ``_cea_task``, ``_cta_task``,
+      ``_cpa_task`` and ``types_per_column``.
   D2: the CTA per-row rank update uses the level-2/3 type's own rank,
-      not t1's (reference bug at annotation_models.py:849, 855).
+      not t1's (reference bug at annotation_models.py:849, 855):
+      ``_flat_types`` / ``_cta_task``.
   D3: the coverage<0.3 demotion iterates over a snapshot of
       entity_cols (the reference mutates the list while iterating,
-      annotation_models.py:261-277, silently skipping the next column).
+      annotation_models.py:261-277, silently skipping the next column):
+      ``_lookup_task``.
   D4: the reference subsamples 400 rows only for PREPROCESSING stats
       but annotates every row; we apply the bound as a hard per-
       conversation cap, also enforced map-side before the conv shuffle
@@ -40,7 +78,8 @@ deterministic or fixes a latent bug; flagged inline):
       per property (annotation_models.py:619, last dict-iteration
       order wins — the same insertion-order nondeterminism class D1
       removes).  String/Quantity literals max-accumulate in the
-      reference too, so this unifies the rule deterministically.
+      reference too, so this unifies the rule deterministically:
+      ``_literal_context``.
 """
 
 from __future__ import annotations
@@ -67,7 +106,11 @@ from ..functions.typing_rules import (
 from ..state.kb import ENTITY_RANKS, KBReader
 from ..state.lookup_index import LabelIndex
 
-Candidate = tuple[int, int, str]  # (row, col, entity_id)
+_PUNCT = frozenset(punctuation)
+# the literal column kinds, each with its one rule in _literal_match
+_DATE, _TEXT, _UNIT = 1, 2, 3
+# entries of ActorCaches.literal_matches before it is cleared
+LITERAL_MEMO_SIZE = 32_768
 
 
 @dataclass
@@ -81,7 +124,10 @@ class ActorCaches:
     flat_types: dict[str, list] = field(default_factory=dict)
     level_sets: dict[str, tuple] = field(default_factory=dict)
     type_graph: dict[str, set] = field(default_factory=dict)
-    literal_relations: dict[tuple[str, str], list[tuple[str, float]]] = field(default_factory=dict)
+    # (entity, literal column kind, cell) -> (context score, matching pids)
+    literal_matches: dict[tuple[str, int, str], tuple[float, tuple[str, ...]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -166,7 +212,10 @@ def types_per_column(
 
 class TableAnnotator:
     """Annotates one table (conversation grid).  Construct once per actor
-    with the shared index/KB/caches; call :meth:`annotate` per table."""
+    with the shared index/KB/caches; call :meth:`annotate` per table.
+    The per-table state (the candidate and context-edge tables, the
+    CEA/CTA/CPA annotations of the current loop) lives on the instance
+    for the length of one :meth:`annotate` call."""
 
     def __init__(
         self,
@@ -315,7 +364,8 @@ class TableAnnotator:
         datatypes: dict[str, list[str]],
         first_data_row: int = 0,
     ) -> AnnotationResult:
-        cfg = self.cfg
+        """CEA/CTA/CPA of one table.  ``datatypes`` is accepted for the
+        preprocessing output's shape; the model reads only ``typings``."""
         self.table = table
         self.first_data_row = first_data_row
         self.num_rows = len(table)
@@ -327,7 +377,6 @@ class TableAnnotator:
             for c in range(self.num_columns)
         ]
         self.primitive_typing = types_per_column(data_cols, typings, 3, True)
-        self.column_datatypes = types_per_column(data_cols, datatypes, 3, False)
 
         self.entity_cols = self._find_semantic_columns()
         self.literal_cols = sorted(set(range(self.num_columns)) - set(self.entity_cols))
@@ -338,57 +387,36 @@ class TableAnnotator:
             self.index_col,
         ) = self._disambiguate_literal_columns()
 
-        self.lookup: dict[tuple[int, int], list[str]] = {}
-        self.lookup_scores: dict[Candidate, float] = {}
         self._lookup_task()
+        self._context_scoring()
 
-        self.entity_context_scores: dict[Candidate, dict[int, dict]] = {}
-        self.entity_sim_scores: dict[Candidate, float] = {}
-        self.entity_scores: dict[Candidate, float] = {}
-        for (row, col), ids in self.lookup.items():
-            for eid in ids:
-                cand = (row, col, eid)
-                self.entity_context_scores[cand] = {}
-                self.entity_sim_scores[cand] = 0.0
-                self.entity_scores[cand] = 0.0
-
-        # per-table state (reference ST7)
+        # per-table state (reference ST7), keyed on cell ids
         self.unrelated_col_pairs: set[tuple[int, int]] = set()
-        self.contextless_cells: dict[tuple[int, int], float] = {}
-        self.potential_candidates: dict[Candidate, list[dict]] = {}
-        self.cea_annot: dict[tuple[int, int], list[dict]] = {}
-        self.cta_annot: dict[int, list[dict]] = {}
-        self.cpa_annot: dict[tuple[int, int], list[dict]] = {}
-        self._conv_literal_rels: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        # pairs whose connection was deemed reliable during context scoring —
-        # the reference's cached_cpa_candidates gate (annotation_models.py:560-566)
-        self._conv_reliable_pairs: set[tuple[str, str]] = set()
+        self.contextless_cells: dict[int, float] = {}
+        n_cands = len(self.c_code)
+        self.pc_count = [0] * n_cands  # potential-candidate matches
+        self.pc_coeff = [0.0] * n_cands  # and their best CPA coverage
+        self.cea: list[list[tuple[int, float]]] = [[] for _ in self.cells]
+        self.cta_annot: dict[int, list[tuple[str, float, float]]] = {}
+        self.cpa_annot: dict[tuple[int, int], list[tuple[str, float, float, float]]] = {}
 
         self._run_loops()
 
+        ent_ids = self.ent_ids
         cea_out = {
-            cell: (ceas[0]["id"], ceas[0]["score"])
-            for cell, ceas in self.cea_annot.items()
+            self.cells[c]: (ent_ids[ceas[0][0]], ceas[0][1])
+            for c, ceas in enumerate(self.cea)
             if ceas
         }
-        cta_out = {
-            col: [(c["id"], c["score"], c["coverage"]) for c in ctas]
-            for col, ctas in self.cta_annot.items()
-            if ctas
-        }
+        cta_out = {col: list(ctas) for col, ctas in self.cta_annot.items() if ctas}
         cpa_out = {
-            pair: [(c["id"], c["score"], c["coverage"]) for c in cpas]
+            pair: [(rid, score, cov) for rid, score, _sp, cov in cpas]
             for pair, cpas in self.cpa_annot.items()
             if cpas
         }
-        avg_candidates = (
-            round(sum(len(v) for v in self.lookup.values()) / len(self.lookup), 2)
-            if self.lookup
-            else 0.0
-        )
         return AnnotationResult(
             cea_out, cta_out, cpa_out, list(self.entity_cols),
-            list(self.literal_cols), avg_candidates,
+            list(self.literal_cols), self.avg_candidates,
         )
 
     # ------------------------------------------------------------------
@@ -404,8 +432,7 @@ class TableAnnotator:
                 cell = self.table[row][col]
                 if len(cell) > 150:
                     long_cells += 1
-                distinct_puncts = sum(1 for p in set(punctuation) if p in cell)
-                if distinct_puncts > 3:
+                if len(_PUNCT.intersection(cell)) > 3:  # distinct punctuation
                     punctuated += 1
             score = sum(
                 t["score"]
@@ -448,15 +475,18 @@ class TableAnnotator:
         return date_cols, numeral, textual, index_col
 
     # ------------------------------------------------------------------
-    # lookup (annotation_models.py:234-295)
+    # lookup → the candidate table (annotation_models.py:234-295)
     # ------------------------------------------------------------------
     def _lookup_task(self) -> None:
+        """One batched lookup, D3's coverage demotion, then the candidate
+        table of the surviving entity columns (module docstring)."""
         k = self.cfg.k
+        table, rows = self.table, range(self.first_data_row, self.num_rows)
         mentions: list[str] = []
         seen: set[str] = set()
         for col in self.entity_cols:
-            for row in range(self.first_data_row, self.num_rows):
-                m = self.table[row][col].lower()
+            for row in rows:
+                m = table[row][col].lower()
                 if len(m) > 1 and m not in seen:
                     seen.add(m)
                     mentions.append(m)
@@ -468,59 +498,113 @@ class TableAnnotator:
         self.kbr.prefetch(
             [e for hits in results.values() for e, _ in hits]
         )
+        found: dict[int, list[tuple[int, list]]] = {}
         for col in list(self.entity_cols):  # D3: snapshot
             coverage = 0.0
-            for row in range(self.first_data_row, self.num_rows):
-                m = self.table[row][col].lower()
-                hits = results.get(m)
+            col_hits = []
+            for row in rows:
+                hits = results.get(table[row][col].lower())
                 if hits:
                     coverage += 1 / self.n_data_rows
-                    self.lookup[(row, col)] = [e for e, _ in hits]
-                    for e, s in hits:
-                        self.lookup_scores[(row, col, e)] = s
+                    col_hits.append((row, hits))
             if coverage < 0.3:
                 self.entity_cols.remove(col)
                 self.textual_cols.append(col)
                 self.literal_cols = sorted(self.literal_cols + [col])
-                for row in range(self.first_data_row, self.num_rows):
-                    ids = self.lookup.pop((row, col), [])
-                    for e in ids:
-                        self.lookup_scores.pop((row, col, e), None)
+            else:
+                found[col] = col_hits
+
+        self.cells: list[tuple[int, int]] = []  # cell id -> (row, col)
+        self.cell_id: dict[tuple[int, int], int] = {}
+        self.cell_start = [0]  # CSR: cell c's candidates are cell_start[c]:cell_start[c+1]
+        self.col_cells: dict[int, range] = {}  # entity col -> its cell ids, by row
+        self.c_code: list[int] = []  # candidate id -> local entity code
+        self.c_sim: list[float] = []  # candidate id -> lookup score
+        self.ent_ids: list[str] = []  # local entity code -> entity id
+        code_of: dict[str, int] = {}
+        n_hits = 0
+        for col in self.entity_cols:
+            first = len(self.cells)
+            for row, hits in found[col]:
+                self.cell_id[(row, col)] = len(self.cells)
+                self.cells.append((row, col))
+                n_hits += len(hits)
+                # one candidate per entity; a repeated hit keeps its last score
+                for eid, score in dict(hits).items():
+                    code = code_of.get(eid)
+                    if code is None:
+                        code = code_of[eid] = len(self.ent_ids)
+                        self.ent_ids.append(eid)
+                    self.c_code.append(code)
+                    self.c_sim.append(score)
+                self.cell_start.append(len(self.c_code))
+            self.col_cells[col] = range(first, len(self.cells))
+        self.avg_candidates = (  # A16 metric (annotation_models.py:285-291)
+            round(n_hits / len(self.cells), 2) if self.cells else 0.0
+        )
+
+        # each entity's KB facts, resolved once per table
+        subs = [self._subgraph(e) for e in self.ent_ids]
+        self.e_literal = [s["literal"] for s in subs]
+        self.e_pids = [s["pids"] for s in subs]
+        self.e_flat = [self._flat_types(e) for e in self.ent_ids]
+        self.e_flat_distinct = [len({t for t, _w, _r in f}) == len(f) for f in self.e_flat]
+        self.e_levels = [self._level_sets(e) for e in self.ent_ids]
 
     # ------------------------------------------------------------------
-    # context scoring (annotation_models.py:396-676)
+    # context scoring → the context-edge table (annotation_models.py:396-676)
     # ------------------------------------------------------------------
     def _context_scoring(self) -> None:
-        sem_w = self.cfg.semantic_context_weight
-        lit_w = self.cfg.literal_context_weight
-        for row in range(self.first_data_row, self.num_rows):
-            # --- semantic (entity×entity) contexts -----------------------
-            for i in range(len(self.entity_cols) - 1):
-                head_col = self.entity_cols[i]
-                head_cell = (row, head_col)
-                head_mention = self.table[row][head_col]
-                if not self.lookup.get(head_cell):
-                    for j in range(i + 1, len(self.entity_cols)):
-                        tail_col = self.entity_cols[j]
-                        for tail_id in self.lookup.get((row, tail_col), []):
-                            tc = (row, tail_col, tail_id)
-                            self.entity_context_scores[tc][head_col] = {
-                                "weight": sem_w, "score": 0.1, "context": []
-                            }
-                    continue
-                for head_id in self.lookup[head_cell]:
-                    hc = (row, head_col, head_id)
-                    for j in range(i + 1, len(self.entity_cols)):
-                        tail_col = self.entity_cols[j]
-                        tail_mention = self.table[row][tail_col]
-                        self.entity_context_scores[hc].setdefault(
-                            tail_col, {"weight": sem_w, "score": 0.1, "context": []}
-                        )
-                        for tail_id in self.lookup.get((row, tail_col), []):
-                            tc = (row, tail_col, tail_id)
-                            self.entity_context_scores[tc].setdefault(
-                                head_col, {"weight": sem_w, "score": 0.1, "context": []}
-                            )
+        """Lay out and score every candidate's context edges.  A candidate
+        in entity column ``col`` has one edge per column of
+        ``ctx_cols[col]`` (the other entity columns, then the literal
+        columns right of ``col``), at ``c_edge0[cand] + position``."""
+        cfg, table = self.cfg, self.table
+        ents, n_ent = self.entity_cols, len(self.entity_cols)
+        self.ctx_cols = {
+            col: [e for e in ents if e != col] + [c for c in self.literal_cols if c > col]
+            for col in ents
+        }
+        self.ctx_weights = {
+            col: [cfg.semantic_context_weight] * (n_ent - 1)
+            + [cfg.literal_context_weight] * (len(ctx) - n_ent + 1)
+            for col, ctx in self.ctx_cols.items()
+        }
+        cell_start, c_code, c_sim = self.cell_start, self.c_code, self.c_sim
+        self.c_edge0: list[int] = []  # candidate id -> its first edge
+        n_edges = 0
+        for col in ents:
+            width = len(self.ctx_cols[col])
+            for c in self.col_cells[col]:
+                for _ in range(cell_start[c], cell_start[c + 1]):
+                    self.c_edge0.append(n_edges)
+                    n_edges += width
+        e_score = self.e_score = [0.1] * n_edges
+        e_rids: list[set | None] = [None] * n_edges
+        self.e_rids = e_rids
+        # the reference's cached_cpa_candidates gate (annotation_models.py:560-566)
+        self._conv_reliable_pairs: set[tuple[str, str]] = set()
+        # (entity, literal mention) -> {pid: 1.0} over the whole table
+        self._conv_literal_rels: dict[tuple[str, str], dict[str, float]] = {}
+        ent_ids, c_edge0 = self.ent_ids, self.c_edge0
+
+        # --- semantic (entity×entity) contexts ---------------------------
+        for i in range(n_ent - 1):
+            head_col = ents[i]
+            for j in range(i + 1, n_ent):
+                tail_col = ents[j]
+                for hc in self.col_cells[head_col]:
+                    row = self.cells[hc][0]
+                    tc = self.cell_id.get((row, tail_col))
+                    if tc is None:
+                        continue
+                    thr_t = 0.7 if len(table[row][tail_col]) > 5 else 0.9
+                    thr_h = 0.7 if len(table[row][head_col]) > 5 else 0.9
+                    for h in range(cell_start[hc], cell_start[hc + 1]):
+                        head_id, sim_h = ent_ids[c_code[h]], c_sim[h]
+                        eh = c_edge0[h] + j - 1  # the head's edge to tail_col
+                        for t in range(cell_start[tc], cell_start[tc + 1]):
+                            tail_id = ent_ids[c_code[t]]
                             if head_id == tail_id:
                                 continue
                             rels = self._pair_relations(head_id, tail_id)
@@ -529,55 +613,79 @@ class TableAnnotator:
                             best = max(p for _, p in rels)
                             if best <= 0.0:
                                 continue
-                            thr_t = 0.7 if len(tail_mention) > 5 else 0.9
-                            head_score = (
-                                max(0.1, best * self.entity_sim_scores[tc])
-                                if self.entity_sim_scores[tc] >= thr_t
-                                else 0.1
-                            )
-                            ctx_h = self.entity_context_scores[hc][tail_col]
-                            ctx_h["score"] = max(ctx_h["score"], head_score)
-                            thr_h = 0.7 if len(head_mention) > 5 else 0.9
-                            tail_score = (
-                                max(0.1, best * self.entity_sim_scores[hc])
-                                if self.entity_sim_scores[hc] >= thr_h
-                                else 0.1
-                            )
-                            ctx_t = self.entity_context_scores[tc][head_col]
-                            ctx_t["score"] = max(ctx_t["score"], tail_score)
+                            sim_t = c_sim[t]
+                            head_score = max(0.1, best * sim_t) if sim_t >= thr_t else 0.1
+                            e_score[eh] = max(e_score[eh], head_score)
+                            tail_score = max(0.1, best * sim_h) if sim_h >= thr_h else 0.1
+                            et = c_edge0[t] + i  # the tail's edge to head_col
+                            e_score[et] = max(e_score[et], tail_score)
                             if head_score > 0.1 or tail_score > 0.1:
                                 self._conv_reliable_pairs.add((head_id, tail_id))
-                                for rid, _p in rels:
-                                    ctx_h["context"].append(rid)
-                                    ctx_t["context"].append(rid)
-            # --- literal contexts ---------------------------------------
-            for entity_col in self.entity_cols:
-                for entity_id in self.lookup.get((row, entity_col), []):
-                    g_literal = self._subgraph(entity_id)["literal"]
-                    cand = (row, entity_col, entity_id)
-                    for literal_col in self.literal_cols:
-                        if literal_col < entity_col:
-                            continue
-                        ctx = {"weight": lit_w, "score": 0.1, "context": []}
-                        self.entity_context_scores[cand][literal_col] = ctx
-                        literal_mention = self.table[row][literal_col]
-                        for obj, props in g_literal.items():
-                            for pid, info in props:
-                                score = self._literal_match(
-                                    obj, info, literal_col, literal_mention
-                                )
-                                if score:
-                                    ctx["score"] = max(ctx["score"], score)
-                                    ctx["context"].append(pid)
-                                    lk = (entity_id, literal_mention)
-                                    rels = self._conv_literal_rels.setdefault(lk, [])
-                                    if (pid, 1.0) not in rels:
-                                        rels.append((pid, 1.0))
+                                for e in (eh, et):
+                                    if e_rids[e] is None:
+                                        e_rids[e] = set()
+                                    e_rids[e].update(rid for rid, _p in rels)
 
-    def _literal_match(self, obj: str, info: str, literal_col: int, cell: str) -> float:
+        # --- literal contexts ---------------------------------------------
+        kinds = {c: _DATE for c in self.date_cols}
+        kinds.update((c, _TEXT) for c in self.textual_cols)
+        kinds.update((c, _UNIT) for c in self.numeral_cols["with_unit"])
+        memo = self.caches.literal_matches
+        for col in ents:
+            # a literal column of no kind matches nothing: its edges keep 0.1
+            lits = [
+                (p, c, kinds[c])
+                for p, c in enumerate(self.ctx_cols[col])
+                if p >= n_ent - 1 and c in kinds
+            ]
+            if not lits:
+                continue
+            for cell in self.col_cells[col]:
+                row = self.cells[cell][0]
+                for cand in range(cell_start[cell], cell_start[cell + 1]):
+                    entity_id = ent_ids[c_code[cand]]
+                    g_literal = self.e_literal[c_code[cand]]
+                    for p, literal_col, kind in lits:
+                        mention = table[row][literal_col]
+                        hit = memo.get((entity_id, kind, mention))
+                        if hit is None:
+                            hit = self._literal_context(entity_id, g_literal, kind, mention)
+                        score, pids = hit
+                        if pids:
+                            e = c_edge0[cand] + p
+                            e_score[e] = score
+                            e_rids[e] = set(pids)
+                            self._conv_literal_rels.setdefault(
+                                (entity_id, mention), {}
+                            ).update(dict.fromkeys(pids, 1.0))
+
+    def _literal_context(
+        self, entity_id: str, g_literal: dict, kind: int, mention: str
+    ) -> tuple[float, tuple[str, ...]]:
+        """Score and matching pids of one literal context edge: the max of
+        0.1 and every match of the entity's literal objects against the
+        cell (D6: a DateTime match max-accumulates too).  Stored in the
+        cross-table memo ``ActorCaches.literal_matches``, which
+        :meth:`_context_scoring` reads first; it is cleared when it
+        reaches :data:`LITERAL_MEMO_SIZE` entries."""
+        score, pids = 0.1, {}
+        for obj, props in g_literal.items():
+            for pid, info in props:
+                s = self._literal_match(obj, info, kind, mention)
+                if s:
+                    score = max(score, s)
+                    pids[pid] = None
+        hit = (score, tuple(pids))
+        memo = self.caches.literal_matches
+        if len(memo) >= LITERAL_MEMO_SIZE:
+            memo.clear()
+        memo[(entity_id, kind, mention)] = hit
+        return hit
+
+    def _literal_match(self, obj: str, info: str, col_kind: int, cell: str) -> float:
         """Literal-vs-cell matching (annotation_models.py:595-676)."""
         kind = info.split("-")[0]
-        if kind == "DateTime" and literal_col in self.date_cols:
+        if kind == "DateTime" and col_kind == _DATE:
             if info.split("-")[1] != "Period":
                 if dates_equal(obj, cell):
                     return 1.0
@@ -594,7 +702,7 @@ class TableAnnotator:
                 if dates_equal(parts[0], endpoints[0]) and dates_equal(parts[1], endpoints[1]):
                     return 1.0
             return 0.0
-        if kind == "String" and literal_col in self.textual_cols:
+        if kind == "String" and col_kind == _TEXT:
             sim = fuzzy.textual_similarity(obj, cell)
             return sim if sim > 0.9 else 0.0
         if kind == "Quantity":
@@ -603,7 +711,7 @@ class TableAnnotator:
             )
             # dimensionless comparison disabled in the reference
             # (annotation_models.py:637-645) — mirrored here
-            if literal_col in self.numeral_cols["with_unit"] and unit_qid != "1":
+            if col_kind == _UNIT and unit_qid != "1":
                 unit_symbol = self.kbr.get_symbol_of_unit_entity(unit_qid)
                 std_obj = standardize_to_base_unit({"value": obj, "unit": unit_symbol})
                 std_cell = standardize_to_base_unit(cell)
@@ -622,129 +730,144 @@ class TableAnnotator:
     # ------------------------------------------------------------------
     # entity scoring (annotation_models.py:700-798)
     # ------------------------------------------------------------------
-    def _entity_scoring(self, first_step: bool = True, last_step: bool = False) -> None:
+    def _first_entity_scoring(self) -> None:
+        """The first scoring pass runs before any CPA, so every context is
+        skipped: a candidate scores 0.1 × its lookup score, or the lookup
+        score itself in a one-column table."""
+        if self.num_columns > 1:
+            self.score = [0.1 * s for s in self.c_sim]
+        else:
+            self.score = list(self.c_sim)
+
+    def _entity_scoring(self, last_step: bool = False) -> None:
+        """Score every candidate from its context edges whose column pair
+        has a CPA.  Which edges count, their summed column weight and
+        their max weight are the same for every candidate of a column, so
+        they are found once per column; the weighted context sum is
+        accumulated per candidate in edge order."""
         cfg = self.cfg
-        if first_step:
-            for cand in self.entity_sim_scores:
-                self.entity_sim_scores[cand] = self.lookup_scores.get(cand, 0.0)
-            self._context_scoring()
-        for cand in self.entity_scores:
-            row, col, cid = cand
-            cell = (row, col)
-            if self.num_columns > 1 and (self.entity_cols or self.literal_cols):
-                context_score = 0.0
-                context_weight = 0.0
-                max_context_weight = 0.0
-                contexts = self.entity_context_scores[cand]
-                if contexts:
-                    for col_idx, a_context in contexts.items():
-                        if col_idx < col and col_idx in self.entity_cols:
-                            col_pair = (col_idx, col)
-                        else:
-                            col_pair = (col, col_idx)
-                        if (
-                            col_pair in self.unrelated_col_pairs
-                            or col_pair not in self.cpa_annot
-                        ):
-                            continue
-                        if first_step:
-                            scale = 1.0
-                        else:
-                            scale = 0.0
-                            for a_cpa in self.cpa_annot[col_pair]:
-                                if a_cpa["id"] in a_context["context"]:
-                                    scale = a_cpa["coverage"] * a_cpa["semantic_proximity"]
-                                    break
-                        scaled = max(0.1, scale * a_context["score"])
-                        context_score += a_context["weight"] * scaled
-                        if last_step:
-                            self.contextless_cells[cell] = max(
-                                self.contextless_cells.get(cell, 0.0), scaled
-                            )
-                            for a_cpa in self.cpa_annot[col_pair]:
-                                pids = self._subgraph(cid)["pids"]
-                                if col_idx < col and col_idx in self.entity_cols:
-                                    rid = a_cpa["id"]
-                                    contains = (
-                                        rid[3:] in pids
-                                        if rid.startswith("(-)")
-                                        else "(-)" + rid in pids
-                                    )
-                                else:
-                                    contains = a_cpa["id"] in pids
-                                if contains:
-                                    self.potential_candidates.setdefault(cand, []).append(
-                                        {
-                                            "cpa_coeff": a_cpa["coverage"],
-                                            "cpa_score": a_cpa["score"],
-                                            "cpa_id": a_cpa["id"],
-                                        }
-                                    )
-                        max_context_weight = max(max_context_weight, a_context["weight"])
-                        if col_idx in self.entity_cols:
-                            context_weight += cfg.semantic_context_weight
-                        elif col_idx in self.literal_cols:
-                            context_weight += cfg.literal_context_weight
-                    context_score = (
-                        context_score / context_weight if context_weight else 0.01
-                    )
-                else:
-                    context_score = 0.01
-                    if last_step:
-                        self.contextless_cells.setdefault(cell, 0.1)
-                if max_context_weight > 0.1:
-                    sim = self.entity_sim_scores[cand]
-                    self.entity_scores[cand] = context_score / (
-                        1 + math.exp(-(sim**2.5 / 0.5 - 1.0) / 0.2)
-                    )
-                else:
-                    self.entity_scores[cand] = 0.1 * self.entity_sim_scores[cand]
-            else:
-                self.entity_scores[cand] = self.entity_sim_scores[cand]
+        sem_w, lit_w = cfg.semantic_context_weight, cfg.literal_context_weight
+        score, c_sim, cell_start = self.score, self.c_sim, self.cell_start
+        contextless = self.contextless_cells
+        if self.num_columns <= 1:
+            score[:] = c_sim
+            if last_step:
+                for c in range(len(self.cells)):
+                    contextless.setdefault(c, 0.1)
+            return
+        ent_set = set(self.entity_cols)
+        e_score, e_rids, c_edge0, c_code = self.e_score, self.e_rids, self.c_edge0, self.c_code
+        e_pids, pc_count, pc_coeff = self.e_pids, self.pc_count, self.pc_coeff
+        exp = math.exp
+        for col in self.entity_cols:
+            ctx = self.ctx_cols[col]
+            weights = self.ctx_weights[col]
+            active = []
+            context_weight = 0.0
+            max_context_weight = 0.0
+            for p, col_idx in enumerate(ctx):
+                col_pair = (col_idx, col) if col_idx < col else (col, col_idx)
+                cpas = self.cpa_annot.get(col_pair)
+                if col_pair in self.unrelated_col_pairs or cpas is None:
+                    continue
+                w = weights[p]
+                is_entity = col_idx in ent_set
                 if last_step:
-                    self.contextless_cells.setdefault(cell, 0.1)
+                    # the pid a candidate must have for each CPA: its own
+                    # direction, or the inverse when it is the tail
+                    if col_idx < col and is_entity:
+                        pcs = [
+                            (rid[3:] if rid.startswith("(-)") else "(-)" + rid, cov)
+                            for rid, _s, _sp, cov in cpas
+                        ]
+                    else:
+                        pcs = [(rid, cov) for rid, _s, _sp, cov in cpas]
+                else:
+                    pcs = ()
+                active.append((p, w, cpas, pcs))
+                max_context_weight = max(max_context_weight, w)
+                context_weight += sem_w if is_entity else lit_w
+            for c in self.col_cells[col]:
+                for cand in range(cell_start[c], cell_start[c + 1]):
+                    if not ctx:
+                        context_score = 0.01
+                        if last_step:
+                            contextless.setdefault(c, 0.1)
+                    else:
+                        context_score = 0.0
+                        e0 = c_edge0[cand]
+                        pids = e_pids[c_code[cand]]
+                        for p, w, cpas, pcs in active:
+                            # the edge's score scaled by the first CPA it saw,
+                            # floored at 0.1 (an edge that saw none scales to 0)
+                            scaled = 0.1
+                            rids = e_rids[e0 + p]
+                            if rids:
+                                for rid, _s, sp, cov in cpas:
+                                    if rid in rids:
+                                        scaled = max(0.1, (cov * sp) * e_score[e0 + p])
+                                        break
+                            context_score += w * scaled
+                            if last_step:
+                                contextless[c] = max(contextless.get(c, 0.0), scaled)
+                                for pid, cov in pcs:
+                                    if pid in pids:
+                                        pc_coeff[cand] = (
+                                            max(pc_coeff[cand], cov) if pc_count[cand] else cov
+                                        )
+                                        pc_count[cand] += 1
+                        context_score = (
+                            context_score / context_weight if context_weight else 0.01
+                        )
+                    sim = c_sim[cand]
+                    if max_context_weight > 0.1:
+                        score[cand] = context_score / (
+                            1 + exp(-(sim**2.5 / 0.5 - 1.0) / 0.2)
+                        )
+                    else:
+                        score[cand] = 0.1 * sim
 
     # ------------------------------------------------------------------
     # context-weight update (annotation_models.py:352-395)
     # ------------------------------------------------------------------
     def _update_context_weight(self, only_literal_context: bool = False) -> None:
+        """An edge's weight depends only on its two columns, so weights are
+        kept per (column, context position), not per edge."""
         cfg = self.cfg
         if not only_literal_context:
             if not self.entity_cols:
                 return
             min_ecol = min(self.entity_cols)
-            for cand, contexts in self.entity_context_scores.items():
-                _row, col, _cid = cand
-                for col_idx, a_context in contexts.items():
-                    if col_idx < col and col_idx in self.entity_cols:
-                        col_pair = (col_idx, col)
-                    else:
-                        col_pair = (col, col_idx)
-                    if col_pair in self.cpa_annot and self.cpa_annot[col_pair]:
-                        top = self.cpa_annot[col_pair][0]
-                        cnt = top["coverage"]
-                        tau = top["semantic_proximity"]
+            ent_set = set(self.entity_cols)
+            for col, ctx in self.ctx_cols.items():
+                weights = self.ctx_weights[col]
+                for p, col_idx in enumerate(ctx):
+                    col_pair = (col_idx, col) if col_idx < col else (col, col_idx)
+                    cpas = self.cpa_annot.get(col_pair)
+                    if cpas:
+                        _rid, _s, tau, cnt = cpas[0]
                         df = (
                             1 + 4 * min(abs(col_idx - min_ecol), abs(col - min_ecol))
                         ) ** -1
-                        if col_idx in self.entity_cols:
-                            a_context["weight"] = max(
+                        if col_idx in ent_set:
+                            weights[p] = max(
                                 0.05, cfg.semantic_context_weight * cnt * tau * df
                             )
                         else:
-                            a_context["weight"] = max(
+                            weights[p] = max(
                                 0.01, cfg.literal_context_weight * cnt * tau * df
                             )
                     else:
-                        a_context["weight"] = 0.05 if col_idx in self.entity_cols else 0.01
+                        weights[p] = 0.05 if col_idx in ent_set else 0.01
         else:
             for literal_col in self.literal_cols:
                 match_score, match_col = 0.0, None
                 for entity_col in self.entity_cols:
                     pair = (entity_col, literal_col)
                     self.unrelated_col_pairs.add(pair)
-                    if pair in self.cpa_annot and self.cpa_annot[pair]:
-                        cnt = self.cpa_annot[pair][0]["coverage"]
+                    cpas = self.cpa_annot.get(pair)
+                    if cpas:
+                        cnt = cpas[0][3]
                         if cnt > match_score:
                             match_score, match_col = cnt, entity_col
                 if match_col is not None:
@@ -753,235 +876,222 @@ class TableAnnotator:
     # ------------------------------------------------------------------
     # CEA (annotation_models.py:904-1031)
     # ------------------------------------------------------------------
-    def _cea_task(self, col: int, row: int, only_one: bool = True):
-        cell = (row, col)
-        ids = self.lookup.get(cell)
-        if not ids:
-            return
-        cea_candidates = [
-            {"id": cid, "score": self.entity_scores[(row, col, cid)]}
-            for cid in ids
-            if (row, col, cid) in self.entity_scores
-        ]
-        if not cea_candidates:
-            return
-        cta_applied = False
-        cta_scores: dict[str, float] = {}
-        cta_weights: list[float] = []
+    def _cea_task(self, col: int, only_one: bool = True) -> None:
+        """CEA of one entity column's cells: ``cea[cell]`` becomes its
+        [(entity code, score)].  ``only_one`` keeps the best-scored
+        candidates in rank order (more potential CPA matches first, then
+        id — D1); otherwise every candidate is kept in candidate order,
+        since its readers (the CTA and CPA row aggregates) are order-free."""
+        cell_start, c_code, score, cea = self.cell_start, self.c_code, self.score, self.cea
         ctas = self.cta_annot.get(col)
-        if ctas:
-            cta_applied = True
-            for a_cta in ctas:
-                cta_type = a_cta["id"]
-                tg = self._type_graph(cta_type)
-                cta_weights.append(a_cta["coverage"])
-                for cea in cea_candidates:
-                    cta_scores.setdefault(cea["id"], 0.0)
-                    l1, l2, l3 = self._level_sets(cea["id"])
-                    w = None
-                    if cta_type in l1:
-                        w = self.cfg.cta_weight_level1
-                    elif cta_type in l2 or not tg.isdisjoint(l1):
-                        w = self.cfg.cta_weight_level2
-                    elif cta_type in l3 or not tg.isdisjoint(l2):
-                        w = self.cfg.cta_weight_level3
-                    if w is not None:
-                        cta_scores[cea["id"]] = max(
-                            cta_scores[cea["id"]], w * a_cta["score"]
-                        )
-        if cta_applied:
-            mean_w = sum(cta_weights) / len(cta_weights)
-            if (
-                self.contextless_cells
-                and self.contextless_cells.get(cell, 0.1) == 0.1
-            ):
-                cta_coeff = mean_w
-                for cea in cea_candidates:
-                    pc_list = self.potential_candidates.get((row, col, cea["id"]))
-                    if pc_list:
-                        cpa_coeff = max(it["cpa_coeff"] for it in pc_list)
-                        cea["score"] = min(1.0, cea["score"] * (1 + cpa_coeff))
+        if not ctas:
+            for cell in self.col_cells[col]:
+                lo, hi = cell_start[cell], cell_start[cell + 1]
+                if only_one and hi - lo > 1:
+                    cea[cell] = self._best([(cand, score[cand]) for cand in range(lo, hi)])
+                else:
+                    cea[cell] = [(c_code[cand], score[cand]) for cand in range(lo, hi)]
+            return
+        # CTA support of each entity: its best level-weighted CTA score
+        cfg = self.cfg
+        lw1, lw2, lw3 = cfg.cta_weight_level1, cfg.cta_weight_level2, cfg.cta_weight_level3
+        graphs = [(t, s, self._type_graph(t)) for t, s, _cov in ctas]
+        mean_w = sum(cov for _t, _s, cov in ctas) / len(ctas)
+        support: dict[int, float] = {}
+        cells = self.col_cells[col]
+        for code in set(c_code[cell_start[cells.start]:cell_start[cells.stop]]):
+            l1, l2, l3 = self.e_levels[code]
+            best = 0.0
+            for cta_type, cta_score, tg in graphs:
+                if cta_type in l1:
+                    w = lw1
+                elif cta_type in l2 or not tg.isdisjoint(l1):
+                    w = lw2
+                elif cta_type in l3 or not tg.isdisjoint(l2):
+                    w = lw3
+                else:
+                    continue
+                best = max(best, w * cta_score)
+            support[code] = best
+        pc_count, pc_coeff = self.pc_count, self.pc_coeff
+        contextless = self.contextless_cells
+        for cell in self.col_cells[col]:
+            # a cell no context vouched for leans on CTA and potential CPAs
+            boost = bool(contextless) and contextless.get(cell, 0.1) == 0.1
+            cta_coeff = mean_w if boost else mean_w / 2
+            ceas = []
+            for cand in range(cell_start[cell], cell_start[cell + 1]):
+                s = score[cand]
+                if boost and pc_count[cand]:
+                    s = min(1.0, s * (1 + pc_coeff[cand]))
+                ceas.append((cand, (s + cta_coeff * support[c_code[cand]]) / (1 + cta_coeff)))
+            if only_one and len(ceas) > 1:
+                cea[cell] = self._best(ceas)
             else:
-                cta_coeff = mean_w / 2
-            for cea in cea_candidates:
-                cea["score"] = (cea["score"] + cta_coeff * cta_scores[cea["id"]]) / (
-                    1 + cta_coeff
-                )
-        cea_candidates.sort(
-            key=lambda t: (
-                -t["score"],
-                -len(self.potential_candidates.get((row, col, t["id"]), [])),
-                t["id"],  # D1
-            )
-        )
-        if only_one:
-            best = cea_candidates[0]["score"]
-            self.cea_annot[cell] = [c for c in cea_candidates if c["score"] == best]
-        else:
-            self.cea_annot[cell] = cea_candidates
+                cea[cell] = [(c_code[cand], s) for cand, s in ceas]
+
+    def _best(self, ceas: list[tuple[int, float]]) -> list[tuple[int, float]]:
+        """The best-scored of a cell's (candidate, score): more potential
+        CPA matches first, then entity id (D1)."""
+        pc_count, c_code, ent_ids = self.pc_count, self.c_code, self.ent_ids
+        best = max(s for _cand, s in ceas)
+        top = [(cand, s) for cand, s in ceas if s == best]
+        top.sort(key=lambda cs: (-pc_count[cs[0]], ent_ids[c_code[cs[0]]]))
+        return [(c_code[cand], s) for cand, s in top]
 
     # ------------------------------------------------------------------
     # CTA (annotation_models.py:800-902)
     # ------------------------------------------------------------------
-    def _cta_task(self, col: int, only_one: bool = True):
-        candidate_types: dict[str, dict] = {}
-        for row in range(self.first_data_row, self.num_rows):
-            ceas = self.cea_annot.get((row, col))
-            if not ceas:
-                continue
-            row_types: dict[str, tuple[float, int]] = {}
-            for cea in ceas:
-                cand_score = cea["score"]
-                for t, weight, rank_v in self._flat_types(cea["id"]):  # D2
-                    score = weight * cand_score
-                    cur = row_types.get(t)
-                    if cur is None:
-                        row_types[t] = (score, rank_v)
-                    else:
-                        row_types[t] = (max(cur[0], score), max(cur[1], rank_v))
-            for t, (score, rank_v) in row_types.items():
+    def _cta_task(self, col: int, only_one: bool = True) -> None:
+        e_flat, e_flat_distinct = self.e_flat, self.e_flat_distinct
+        candidate_types: dict[str, list] = {}  # type -> [count, total score, total rank]
+        for cell in self.col_cells[col]:
+            ceas = self.cea[cell]
+            if len(ceas) == 1 and e_flat_distinct[ceas[0][0]]:
+                code, cand_score = ceas[0]
+                row_types = [(t, weight * cand_score, rank_v) for t, weight, rank_v in e_flat[code]]
+            else:
+                # per type the best level-weighted score and rank (D2)
+                by_type: dict[str, tuple[float, int]] = {}
+                for code, cand_score in ceas:
+                    for t, weight, rank_v in e_flat[code]:
+                        score = weight * cand_score
+                        cur = by_type.get(t)
+                        if cur is None:
+                            by_type[t] = (score, rank_v)
+                        else:
+                            by_type[t] = (max(cur[0], score), max(cur[1], rank_v))
+                row_types = [(t, score, rank_v) for t, (score, rank_v) in by_type.items()]
+            for t, score, rank_v in row_types:
                 agg = candidate_types.get(t)
                 if agg is None:
-                    candidate_types[t] = {"count": 1, "total_scores": score, "total_ranks": rank_v}
+                    candidate_types[t] = [1, score, rank_v]
                 else:
-                    agg["count"] += 1
-                    agg["total_scores"] += score
-                    agg["total_ranks"] += rank_v
+                    agg[0] += 1
+                    agg[1] += score
+                    agg[2] += rank_v
         if not candidate_types:
             return
         ordered = sorted(
             candidate_types.items(),
-            key=lambda it: (
-                -(it[1]["count"] * it[1]["total_scores"]),
-                -it[1]["total_ranks"],
-                it[0],  # D1
-            ),
+            key=lambda it: (-(it[1][0] * it[1][1]), -it[1][2], it[0]),  # D1
         )
-        top = ordered[0][1]
-        out: list[dict] = []
+        top_count, top_total, _ = ordered[0][1]
         n = self.n_data_rows
         if only_one:
+            out = []
             supertypes: set[str] = set()
-            for t, agg in ordered:
-                if agg["count"] * agg["total_scores"] == top["count"] * top["total_scores"]:
-                    out.append(
-                        {"id": t, "score": agg["total_scores"] / n, "coverage": agg["count"] / n}
-                    )
+            for t, (count, total, _r) in ordered:
+                if count * total == top_count * top_total:
+                    out.append((t, total / n, count / n))
                     supertypes.update(self.kbr.get_supertypes_of_type(t))
-            chosen = {c["id"] for c in out}
-            for t, agg in ordered:
+            chosen = {t for t, _s, _c in out}
+            for t, (count, total, _r) in ordered:
                 if t in supertypes and t not in chosen:
-                    out.append(
-                        {"id": t, "score": agg["total_scores"] / n, "coverage": agg["count"] / n}
-                    )
+                    out.append((t, total / n, count / n))
         else:
-            for t, agg in ordered:
-                if agg["count"] >= top["count"]:
-                    out.append(
-                        {"id": t, "score": agg["total_scores"] / n, "coverage": agg["count"] / n}
-                    )
+            out = [
+                (t, total / n, count / n)
+                for t, (count, total, _r) in ordered
+                if count >= top_count
+            ]
         self.cta_annot[col] = out
 
     # ------------------------------------------------------------------
     # CPA (annotation_models.py:1033-1131)
     # ------------------------------------------------------------------
-    def _cpa_task(self, head_col: int, tail_col: int, only_one: bool = True):
+    def _cpa_task(self, head_col: int, tail_col: int, only_one: bool = True) -> None:
         if (head_col, tail_col) in self.unrelated_col_pairs or (
             tail_col in self.literal_cols and tail_col < head_col
         ):
             return
         tail_is_entity = tail_col in self.entity_cols
-        cpa_candidates: dict[str, dict] = {}
-        for row in range(self.first_data_row, self.num_rows):
-            heads = self.cea_annot.get((row, head_col))
-            if not heads:
-                continue
+        reliable, literal_rels = self._conv_reliable_pairs, self._conv_literal_rels
+        if not (reliable if tail_is_entity else literal_rels):
+            return  # no row of the table has a relation to vote for
+        ent_ids, cea, cells, table = self.ent_ids, self.cea, self.cells, self.table
+        pair_relations = self.caches.pair_relations
+        cpa_candidates: dict[str, list] = {}  # rid -> [count, total score, proximity]
+        for cell in self.col_cells[head_col]:
+            heads = cea[cell]
+            row = cells[cell][0]
+            # the row's (relations, confidence) of each (head, tail) pair
             if tail_is_entity:
-                tails = self.cea_annot.get((row, tail_col))
-                if not tails:
+                tc = self.cell_id.get((row, tail_col))
+                if tc is None:
                     continue
+                found = []
+                for head_code, head_score in heads:
+                    head_id = ent_ids[head_code]
+                    for tail_code, tail_score in cea[tc]:
+                        pair = (head_id, ent_ids[tail_code])
+                        if pair in reliable:
+                            found.append((pair_relations[pair], max(head_score, tail_score)))
             else:
-                tails = [{"id": self.table[row][tail_col], "score": 0.0}]
-            row_rels: dict[str, dict] = {}
-            for head in heads:
-                for tail in tails:
-                    if tail_is_entity:
-                        pair = (head["id"], tail["id"])
-                        rels = (
-                            self.caches.pair_relations.get(pair, [])
-                            if pair in self._conv_reliable_pairs
-                            else []
-                        )
-                    else:
-                        rels = self._conv_literal_rels.get((head["id"], tail["id"]), [])
-                    conf = max(head["score"], tail["score"])
+                mention = table[row][tail_col]
+                found = []
+                for head_code, head_score in heads:
+                    rels = literal_rels.get((ent_ids[head_code], mention))
+                    if rels:
+                        found.append((rels.items(), max(head_score, 0.0)))
+            if not found:
+                continue
+            if len(found) == 1:
+                # one pair: its relation ids are distinct already
+                rels, conf = found[0]
+                row_rels = [(rid, prox * conf, prox) for rid, prox in rels]
+            else:
+                # per relation the best proximity × conf and the lowest proximity
+                merged: dict[str, list[float]] = {}
+                for rels, conf in found:
                     for rid, prox in rels:
                         score = prox * conf
-                        cur = row_rels.get(rid)
-                        if cur:
-                            cur["score"] = max(cur["score"], score)
-                            cur["semantic_proximity"] = min(cur["semantic_proximity"], prox)
+                        cur = merged.get(rid)
+                        if cur is not None:
+                            cur[0] = max(cur[0], score)
+                            cur[1] = min(cur[1], prox)
                         else:
-                            row_rels[rid] = {"semantic_proximity": prox, "score": score}
-            for rid, info in row_rels.items():
-                agg = cpa_candidates.setdefault(
-                    rid,
-                    {"count": 0, "total_scores": 0.0, "semantic_proximity": info["semantic_proximity"]},
-                )
-                agg["count"] += 1
-                agg["total_scores"] += info["score"]
-                agg["semantic_proximity"] = min(
-                    agg["semantic_proximity"], info["semantic_proximity"]
-                )
+                            merged[rid] = [score, prox]
+                row_rels = [(rid, score, prox) for rid, (score, prox) in merged.items()]
+            for rid, score, prox in row_rels:
+                agg = cpa_candidates.get(rid)
+                if agg is None:
+                    agg = cpa_candidates[rid] = [0, 0.0, prox]
+                agg[0] += 1
+                agg[1] += score
+                agg[2] = min(agg[2], prox)
         if not cpa_candidates:
             return
         ordered = sorted(
             cpa_candidates.items(),
             key=lambda it: (
-                -(it[1]["count"] * it[1]["total_scores"]),
-                -it[1]["count"],
-                -it[1]["semantic_proximity"],
+                -(it[1][0] * it[1][1]),
+                -it[1][0],
+                -it[1][2],
                 "::" in it[0],
                 "(-)" in it[0],
                 it[0],  # D1
             ),
         )
-        top = ordered[0][1]
+        top_count, top_total, _ = ordered[0][1]
         n = self.n_data_rows
-        out = []
         if only_one:
-            for rid, agg in ordered:
-                if agg["count"] * agg["total_scores"] >= top["count"] * top["total_scores"]:
-                    out.append(
-                        {
-                            "id": rid,
-                            "score": agg["total_scores"] / n,
-                            "semantic_proximity": agg["semantic_proximity"],
-                            "coverage": agg["count"] / n,
-                        }
-                    )
+            keep = [it for it in ordered if it[1][0] * it[1][1] >= top_count * top_total]
         else:
-            for rid, agg in ordered:
-                if agg["count"] >= top["count"]:
-                    out.append(
-                        {
-                            "id": rid,
-                            "score": agg["total_scores"] / n,
-                            "semantic_proximity": agg["semantic_proximity"],
-                            "coverage": agg["count"] / n,
-                        }
-                    )
-        self.cpa_annot[(head_col, tail_col)] = out
+            keep = [it for it in ordered if it[1][0] >= top_count]
+        self.cpa_annot[(head_col, tail_col)] = [
+            (rid, total / n, prox, count / n) for rid, (count, total, prox) in keep
+        ]
 
     # ------------------------------------------------------------------
     # the 4-loop driver (table_annotation.py:51-112)
     # ------------------------------------------------------------------
     def _all_cea(self, only_one: bool):
         for col in self.entity_cols:
-            for row in range(self.first_data_row, self.num_rows):
-                self._cea_task(col, row, only_one=only_one)
+            self._cea_task(col, only_one=only_one)
 
     def _all_cpa(self, only_one: bool):
+        self.cpa_annot = {}
         for i in range(len(self.entity_cols) - 1):
             for j in range(i + 1, len(self.entity_cols)):
                 self._cpa_task(self.entity_cols[i], self.entity_cols[j], only_one=only_one)
@@ -990,34 +1100,29 @@ class TableAnnotator:
                 self._cpa_task(head, tail, only_one=only_one)
 
     def _all_cta(self, only_one: bool):
+        self.cta_annot = {}
         for col in self.entity_cols:
             self._cta_task(col, only_one=only_one)
 
     def _run_loops(self):
-        self._entity_scoring(first_step=True)
+        self._first_entity_scoring()
         # loop 1: initial CEA + CPA
         self._all_cea(only_one=False)
         self._all_cpa(only_one=False)
         # soft re-weighting
         self._update_context_weight()
-        self._entity_scoring(first_step=False)
+        self._entity_scoring()
         # loop 2: CEA + CTA with updated scores
-        self.cea_annot = {}
         self._all_cea(only_one=False)
         self._all_cta(only_one=False)
         # loop 3: disambiguated CEA/CTA, fresh CPA
-        self.cea_annot = {}
         self._all_cea(only_one=True)
-        self.cta_annot = {}
         self._all_cta(only_one=True)
-        self.cpa_annot = {}
         self._all_cpa(only_one=False)
         # loop 4: reinforced disambiguation
         self._update_context_weight(only_literal_context=True)
-        self._entity_scoring(first_step=False, last_step=True)
-        self.cea_annot = {}
+        self._entity_scoring(last_step=True)
         self._all_cea(only_one=True)
-        self.cta_annot = {}
         self._all_cta(only_one=True)
-        self.cpa_annot = {}
         self._all_cpa(only_one=True)
+

@@ -225,10 +225,6 @@ def _histograms_multi(
     }
 
 
-def _histogram(ds: rd.Dataset, col: str, lo: float, hi: float, bins: int) -> np.ndarray:
-    return _histograms_multi(ds, col, [(lo, hi)], bins)[(lo, hi)]
-
-
 def exact_quantiles(
     ds: rd.Dataset,
     col: str,

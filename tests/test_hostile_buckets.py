@@ -160,6 +160,8 @@ def test_hostile_transcript_through_ray(ray_session, synth_root, kb_objects, tmp
     null conv_id is a clear error; each job under a deadline."""
     import os
 
+    from ray.data import DataContext
+
     from table_annotation_ray.pipelines.kg_pipeline import run_kg_pipeline
 
     kb_dir = os.path.join(synth_root, "kb")
@@ -170,8 +172,9 @@ def test_hostile_transcript_through_ray(ray_session, synth_root, kb_objects, tmp
         got = run_kg_pipeline(path, kb_dir, sharded_kb=sharded_kb).to_pandas()
     assert set(zip(got["subj"], got["pred"], got["obj"])) == want
 
-    # Ray Data re-raises a task's ValueError as RayTaskError(UserCodeException),
-    # which keeps the ValueError's traceback text but not its type
+    # the job raises add_bucket's ValueError as its own type, and only
+    # that job's DataContext carries the setting that does so
     null = _transcript(str(tmp_path / "null.parquet"), {"c": [(0, "Paris | France")], None: [(0, "x")]})
-    with _deadline(300), pytest.raises(Exception, match=r"ValueError: 1 null conv_id value\(s\)"):
+    with _deadline(300), pytest.raises(ValueError, match=r"1 null conv_id value\(s\)"):
         run_kg_pipeline(null, kb_dir, sharded_kb=sharded_kb).to_pandas()
+    assert not DataContext.get_current().raise_original_map_exception

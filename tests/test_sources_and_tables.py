@@ -473,3 +473,40 @@ def test_bucket_tables_crc32_and_null_table_id(ray_session):
                                     "row_idx": [0, 0]}))
     with pytest.raises(Exception, match="null table_id"):
         _bucket_tables(nulls).materialize()
+
+
+def test_annotate_tables_logs_no_schema_divergence(ray_session, kb_objects):
+    """A 3-table annotate run leaves no reducer of the table exchange
+    without rows: Ray logs each schema-less empty block as a schema
+    change ("Operator produced a RefBundle with a different schema")."""
+    import logging
+
+    import ray
+    import ray.data as rd
+
+    from table_annotation_ray import synth
+    from table_annotation_ray.pipelines.table_pipeline import annotate_tables
+
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    rows = [{"table_id": t["name"], "row_idx": i, "cells": cells}
+            for t in synth.TEMPLATES
+            for i, (cells, _truth) in enumerate(synth._rows_for_template(t, None))]
+    logger = logging.getLogger("ray.data")
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        out = annotate_tables(rd.from_items(rows), ray.put(kb_objects[0])).to_pandas()
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+    assert sorted(out["table_id"]) == ["cities", "films", "mayors"]
+    assert all(json.loads(a)["CEA"] for a in out["annotated"])
+    assert not [m for m in handler.messages if "different schema" in m]
