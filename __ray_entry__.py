@@ -64,6 +64,69 @@ _NEAR_DUP_COMPONENTS_CACHE = {
 }
 
 
+# table_preprocess / table_annotate rows at sf0.01, injected into their
+# oracles as VALUES literals: the generic-table heuristics have no SQL
+# form, so the oracle is the same tables preprocessed / annotated in
+# process, without Ray.  Pinned by
+# tests/test_sources_and_tables.py::test_table_oracle_literals_match_in_process,
+# which recomputes both.
+_TABLE_LITERALS_SF001 = {
+    "table_preprocess": "('nation', 'HORIZONTAL', true), ('region', 'HORIZONTAL', true)",
+    "table_annotate": "('cities', 32, 2, 4), ('films', 12, 2, 3), ('mayors', 24, 3, 4)",
+}
+_TABLE_LITERAL_CACHE: "dict[tuple[str, str], str]" = {}
+
+
+def _sql_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return "'" + v.replace("'", "''") + "'"
+    return str(v)
+
+
+def table_rows_in_process(name: str, sf_dir: str) -> "list[tuple]":
+    """The rows of the ``table_preprocess`` or ``table_annotate`` query at
+    ``sf_dir``, computed in this process through ``preprocess_table`` /
+    ``annotate_single`` on the query's tables and KB (no Ray)."""
+    from table_annotation_ray.state.kb import KBReader, load_kb
+
+    kb = load_kb(os.path.join(_synth_root_for(sf_dir), "kb"))
+    if name == "table_preprocess":
+        from table_annotation_ray.stages.preprocess import CellTyper, preprocess_table
+
+        typer = CellTyper(KBReader(kb).build_gazetteer())
+        return [
+            (tid, *_preprocess_summary(preprocess_table(table, typer)["preprocessed"]))
+            for tid, table in _nation_region_tables(sf_dir).items()
+        ]
+    from table_annotation_ray.config import DEFAULT_CONFIG
+    from table_annotation_ray.pipelines.table_pipeline import annotate_single
+    from table_annotation_ray.stages.annotate_stage import AnnotateBucket
+
+    stage = AnnotateBucket(kb, DEFAULT_CONFIG)
+    payloads = {tid: annotate_single(table, stage) for tid, table in _template_tables().items()}
+    return [(tid, *_annotate_summary(p)) for tid, p in payloads.items() if p is not None]
+
+
+def values_literal(rows: "list[tuple]") -> str:
+    """SQL VALUES body of ``rows`` (strings, ints and bools)."""
+    return ", ".join("(" + ", ".join(map(_sql_value, row)) + ")" for row in rows)
+
+
+def table_literal(name: str, sf_dir: str) -> str:
+    """SQL VALUES body of :func:`table_rows_in_process`, cached per
+    query and directory; at sf0.01 the pinned constant, so a change to
+    the table code fails the gate there instead of moving the oracle."""
+    if _sf_of(sf_dir) == 0.01:
+        return _TABLE_LITERALS_SF001[name]
+    key = (name, os.path.realpath(sf_dir))
+    lit = _TABLE_LITERAL_CACHE.get(key)
+    if lit is None:
+        lit = _TABLE_LITERAL_CACHE[key] = values_literal(table_rows_in_process(name, sf_dir))
+    return lit
+
+
 def near_dup_components_literal(sf_dir: str) -> str:
     """SQL VALUES body of the minhash near-dup (doc_id, component)
     mapping at ``sf_dir`` (threshold 0.8 over raw documents), recomputed
@@ -132,6 +195,8 @@ def oracle_sql_at(sf_dir: str) -> "dict[str, str]":
     sqls["near_dedup_keep_best"] = sqls["near_dedup_keep_best"].replace(
         _NEAR_DUP_COMPONENTS_SF001, near_dup_components_literal(sf_dir)
     )
+    for name, lit in _TABLE_LITERALS_SF001.items():
+        sqls[name] = sqls[name].replace(lit, table_literal(name, sf_dir))
     return sqls
 
 
@@ -1810,58 +1875,84 @@ def _q_entity_lookup(sf_dir: str):
     return lookup_labels(labels, kb_ref).to_pandas()
 
 
+def _nation_region_tables(sf_dir: str) -> "dict[str, list[list[str]]]":
+    """The generic tables of ``table_preprocess``: the nation and region
+    files as header row + string cells."""
+    import pyarrow.parquet as pq
+
+    tables = {}
+    for tname in ("nation", "region"):
+        t = pq.read_table(os.path.join(sf_dir, f"{tname}.parquet"))
+        body = [[str(v) for v in row.values()] for row in t.to_pylist()]
+        tables[tname] = [list(t.column_names)] + body
+    return tables
+
+
+def _template_tables() -> "dict[str, list[list[str]]]":
+    """The generic tables of ``table_annotate``: one per synth template."""
+    from table_annotation_ray import synth
+
+    return {
+        template["name"]: [cells for cells, _truth in synth._rows_for_template(template, None)]
+        for template in synth.TEMPLATES
+    }
+
+
+def _table_rows_ds(tables: "dict[str, list[list[str]]]"):
+    import ray.data as rd
+
+    return rd.from_items([
+        {"table_id": tid, "row_idx": i, "cells": cells}
+        for tid, table in tables.items() for i, cells in enumerate(table)
+    ])
+
+
+def _preprocess_summary(preprocessed: dict) -> "tuple[str, bool]":
+    """(orientation, has_header) of one ``preprocessed`` payload."""
+    if not preprocessed:
+        return "", False
+    return (preprocessed["tableOrientation"]["orientationLabel"],
+            bool(preprocessed["headerInfo"]["hasHeader"]))
+
+
+def _annotate_summary(annotated: dict) -> "tuple[int, int, int]":
+    """(CEA, CTA, CPA) counts of one ``annotated`` payload."""
+    return len(annotated["CEA"]), len(annotated["CTA"]), len(annotated["CPA"])
+
+
 def _q_table_preprocess(sf_dir: str):
     """Generic-table preprocessing over tables derived from the nation /
-    region testdata (rows-only: heuristic detections)."""
+    region testdata.  Oracle: the in-process preprocessing's rows as a
+    pinned literal (:func:`table_literal`)."""
     import json
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
     from table_annotation_ray.pipelines.table_pipeline import preprocess_tables
     from table_annotation_ray.state.kb import broadcast_kb
 
-    rows = []
-    for tname in ("nation", "region"):
-        t = pq.read_table(os.path.join(sf_dir, f"{tname}.parquet"))
-        header = [list(t.column_names)]
-        body = [[str(v) for v in row.values()] for row in t.to_pylist()]
-        for i, cells in enumerate(header + body):
-            rows.append({"table_id": tname, "row_idx": i, "cells": cells})
-    ds = rd.from_items(rows)
     root = _synth_root_for(sf_dir)
     kb_ref = broadcast_kb(os.path.join(root, "kb"))
-    out = preprocess_tables(ds, kb_ref).to_pandas()
-    out["orientation"] = out["preprocessed"].map(
-        lambda s: json.loads(s)["tableOrientation"]["orientationLabel"] if s != "{}" else ""
-    )
-    out["has_header"] = out["preprocessed"].map(
-        lambda s: bool(json.loads(s).get("headerInfo", {}).get("hasHeader")) if s != "{}" else False
-    )
+    out = preprocess_tables(_table_rows_ds(_nation_region_tables(sf_dir)), kb_ref).to_pandas()
+    summary = out["preprocessed"].map(lambda s: _preprocess_summary(json.loads(s)))
+    out["orientation"] = summary.map(lambda r: r[0])
+    out["has_header"] = summary.map(lambda r: r[1])
     return out[["table_id", "orientation", "has_header"]]
 
 
 def _q_table_annotate(sf_dir: str):
     """Full generic-table annotation (reference table_annotation.py shape)
-    over the films fixture (rows-only: model-driven)."""
+    over the synth template tables.  Oracle: the in-process annotation's
+    counts as a pinned literal (:func:`table_literal`)."""
     import json
 
-    import ray.data as rd
-
-    from table_annotation_ray import synth
     from table_annotation_ray.pipelines.table_pipeline import annotate_tables
     from table_annotation_ray.state.kb import broadcast_kb
 
     root = _synth_root_for(sf_dir)
     kb_ref = broadcast_kb(os.path.join(root, "kb"))
-    rows = []
-    for ti, template in enumerate(synth.TEMPLATES):
-        for i, (cells, _truth) in enumerate(synth._rows_for_template(template, None)):
-            rows.append({"table_id": template["name"], "row_idx": i, "cells": cells})
-    out = annotate_tables(rd.from_items(rows), kb_ref).to_pandas()
-    out["n_cea"] = out["annotated"].map(lambda s: len(json.loads(s)["CEA"]))
-    out["n_cta"] = out["annotated"].map(lambda s: len(json.loads(s)["CTA"]))
-    out["n_cpa"] = out["annotated"].map(lambda s: len(json.loads(s)["CPA"]))
+    out = annotate_tables(_table_rows_ds(_template_tables()), kb_ref).to_pandas()
+    counts = out["annotated"].map(lambda s: _annotate_summary(json.loads(s)))
+    for i, col in enumerate(("n_cea", "n_cta", "n_cpa")):
+        out[col] = counts.map(lambda r, i=i: r[i])
     return out[["table_id", "n_cea", "n_cta", "n_cpa"]]
 
 
@@ -7926,6 +8017,17 @@ def oracle_sql() -> dict[str, str]:
                    n_email, n_ip,
                    len(regexp_extract_all(t2, '\\+?\\d[\\d().-]{7,}\\d')) AS n_phone
             FROM s1
+        """,
+        # table_preprocess / table_annotate: the in-process run of the
+        # same tables as a VALUES literal (sf0.01 constant here;
+        # oracle_sql_at recomputes it for any other sf)
+        "table_preprocess": f"""
+            SELECT * FROM (VALUES {_TABLE_LITERALS_SF001["table_preprocess"]})
+                AS t(table_id, orientation, has_header)
+        """,
+        "table_annotate": f"""
+            SELECT * FROM (VALUES {_TABLE_LITERALS_SF001["table_annotate"]})
+                AS t(table_id, n_cea, n_cta, n_cpa)
         """,
         # curation_funnel: every deterministic sub-stage mirrored in SQL
         # (exact dedup = min-doc_id per normalized text, quality gate,

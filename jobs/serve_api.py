@@ -44,6 +44,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+class _StageView:
+    """What ``annotate_single`` reads of a stage: the shared cell typer
+    and KB reader, and one thread's annotator."""
+
+    __slots__ = ("_type_cell", "kbr", "annotator")
+
+    def __init__(self, stage, annotator):
+        self._type_cell = stage._type_cell
+        self.kbr = stage.kbr
+        self.annotator = annotator
+
+
 class ServiceState:
     """All model state, loaded once (the per-actor __init__ pattern)."""
 
@@ -82,6 +94,13 @@ class ServiceState:
             self._tls.annotator = ann
         return ann
 
+    def _thread_view(self) -> "_StageView":
+        """This thread's stage for ``annotate_single``, built once."""
+        view = getattr(self._tls, "view", None)
+        if view is None:
+            view = self._tls.view = _StageView(self.stage, self._thread_annotator())
+        return view
+
     def next_request_id(self) -> int:
         with self._req_lock:
             self._req_id += 1
@@ -113,15 +132,7 @@ class ServiceState:
     def annotate(self, table: list[list[str]]) -> dict:
         from table_annotation_ray.pipelines.table_pipeline import annotate_single
 
-        # per-thread view: shared typer/kbr/index, private annotator
-        class _View:
-            pass
-
-        view = _View()
-        view.kbr = self.stage.kbr
-        view._type_cell = self.stage._type_cell
-        view.annotator = self._thread_annotator()
-        payload = annotate_single(table, view)
+        payload = annotate_single(table, self._thread_view())
         if payload is None:  # preprocessing filtered the table away
             payload = {"CEA": [], "CTA": [], "CPA": [], "avgLookupCandidate": 0.0}
         return {

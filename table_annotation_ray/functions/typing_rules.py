@@ -23,6 +23,7 @@ same lifecycle as the reference's module-level init (regex_parser.py:53).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .quantities import parse_quantities
 from .text import string_datatype
@@ -323,9 +324,11 @@ class SpacyNER:
 _SKIP_PUNCT = ".@_!#$%^&*()<>?/\\|}{~:'-+~~_°¨"
 
 
+@lru_cache(maxsize=4096)
 def is_concept(label: str) -> bool:
     """prp_scripts/utils.py:36-42 — preprocessing-side concept predicate
-    (narrower than the NER one: excludes MONEY/PERCENT)."""
+    (narrower than the NER one: excludes MONEY/PERCENT); memoized, as
+    labels come from a small set."""
     concepts = [
         "EVENT", "FAC", "GPE", "LAW", "LOC", "NORP", "ORG", "PERSON",
         "PRODUCT", "WORK_OF_ART", "LANGUAGE", "UNKNOWN",

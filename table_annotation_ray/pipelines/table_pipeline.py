@@ -18,6 +18,8 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..stages import preprocess as pp
+from ..stages.agg import map_bucket_ranges
 from ..stages.sinks import str_partitions
 
 TABLE_BUCKETS = 128
@@ -41,30 +43,9 @@ def _bucket_tables(ds: rd.Dataset, num_buckets: int = TABLE_BUCKETS) -> rd.Datas
 
 
 def _map_table_buckets(ds: rd.Dataset, fn, num_buckets: int = TABLE_BUCKETS) -> rd.Dataset:
-    """``fn`` over whole buckets of tables: one sort on the bucket into
-    ``R = min(num_buckets, max(2, cluster CPUs))`` contiguous bucket
-    ranges, then ``fn`` per range block.  Every map block also sends one
-    pad row (null ``table_id``, which :func:`_group_tables` drops) into
-    each range, so every reducer block holds a row and keeps the table's
-    schema: Ray's sort gives a reducer without rows a schema-less block,
-    which it logs as a schema change and passes through ``fn`` uncalled.
-    Reads ``ray.cluster_resources()``: the caller owns the session."""
-    import ray
-
-    ranges = min(num_buckets, max(2, int(ray.cluster_resources().get("CPU", 1))))
-    starts = [num_buckets * i // ranges for i in range(ranges)]
-
-    def pad(batch: pa.Table) -> pa.Table:
-        pads = [pa.array(starts, f.type) if f.name == "__tb_bkt" else pa.nulls(ranges, f.type)
-                for f in batch.schema]
-        return pa.concat_tables([batch, pa.Table.from_arrays(pads, schema=batch.schema)])
-
-    return (
-        _bucket_tables(ds, num_buckets)
-        .map_batches(pad, batch_format="pyarrow")
-        .sort("__tb_bkt", boundaries=starts[1:])
-        .map_batches(fn, batch_format="pyarrow", batch_size=None)
-    )
+    """``fn`` over whole buckets of tables (stages/agg.py::
+    map_bucket_ranges)."""
+    return map_bucket_ranges(_bucket_tables(ds, num_buckets), "__tb_bkt", num_buckets, fn)
 
 
 def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
@@ -74,8 +55,7 @@ def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
         batch["row_idx"].to_pylist(),
         batch["cells"].to_pylist(),
     ):
-        if tid is not None:  # not a pad row of _map_table_buckets
-            tables.setdefault(tid, []).append((idx, cells))
+        tables.setdefault(tid, []).append((idx, cells))
     return {
         tid: [cells for _, cells in sorted(rows)] for tid, rows in tables.items()
     }
@@ -84,13 +64,12 @@ def _group_tables(batch: pa.Table) -> dict[str, list[list[str]]]:
 def _preprocess_group(batch: pa.Table, kb_ref, seed: int) -> pa.Table:
     """map_groups body of :func:`preprocess_tables`: the group's tables
     typed by the worker's one cell typer for ``kb_ref``."""
-    from ..stages.preprocess import preprocess_table
     from ..stages.typing_stage import worker_typer
 
     typer = worker_typer(kb_ref)
     ids, infos = [], []
     for tid, table in _group_tables(batch).items():
-        out = preprocess_table(table, typer, seed=seed)
+        out = pp.preprocess_table(table, typer, seed=seed)
         ids.append(tid)
         infos.append(json.dumps(out["preprocessed"]))
     return pa.table(
@@ -146,37 +125,41 @@ def annotate_single(raw_table: list[list[str]], stage) -> dict | None:
     """One generic table → the reference-shaped CEA/CTA/CPA dict
     (table_annotation.py:22-148), shared by the Dataset stage below and
     the serving endpoint (jobs/serve_api.py).  ``stage`` is an
-    AnnotateBucket (holds the cell typer ``_type_cell``, lookup index,
-    KB reader, annotator).
-    Returns None for tables that preprocessing filters away."""
-    from ..stages.preprocess import (
-        detect_header,
-        detect_orientation,
-        parse_table,
-        subsample_rows,
-        table_filtering,
-        transpose,
-    )
+    AnnotateBucket, or a view with its ``_type_cell``, ``kbr`` and
+    ``annotator``.  Returns None for tables that preprocessing filters
+    away.
 
-    kbr = stage.kbr
+    The preprocessing steps are read from the module at call time, so a
+    wrapper installed there (a tracer) sees every call."""
     # the reference's annotation flow runs preprocessing first
     # (annotation_models.py:80-93): clean → orientation (transpose
     # if VERTICAL) → header → first_data_row
-    table = table_filtering(raw_table)
+    table = pp.table_filtering(raw_table)
     if len(table) <= 1:
         return None
     # the sample's typings are the full table's, looked up by cell
-    typings, datatypes = parse_table(table, stage._type_cell)
-    sample = subsample_rows(table)
-    orientation = detect_orientation(sample, datatypes, typings)
+    typings, datatypes = pp.parse_table(table, stage._type_cell)
+    sample = pp.subsample_rows(table)
+    whole = sample is table
+    orientation = pp.detect_orientation(sample, datatypes, typings)
     if orientation.orientation == "VERTICAL":
-        sample = transpose(sample)
-        table = transpose(table)
-    header = detect_header(sample, orientation.score, typings)
+        table = pp.transpose(table)
+        sample = table if whole else pp.transpose(sample)
+    header = pp.detect_header(sample, orientation.score, typings)
     first_data_row = 1 if header.has_header else 0
+    # the header's column typing covers the rows below the first: the
+    # annotator's data rows, when the sample is the whole table and its
+    # first row is the header
     result = stage.annotator.annotate(
-        table, typings, datatypes, first_data_row=first_data_row
+        table, typings, datatypes, first_data_row=first_data_row,
+        primitive_typing=header.column_typing if whole and first_data_row == 1 else None,
     )
+    return annotation_payload(result, stage.kbr)
+
+
+def annotation_payload(result, kbr) -> dict:
+    """An :class:`~..stages.annotator.AnnotationResult` → the reference's
+    CEA/CTA/CPA payload, entity ids as labels and prefixed URIs."""
     cea = [
         {
             "row": r,

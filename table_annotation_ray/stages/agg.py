@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -481,3 +482,54 @@ def merge_aggregates(
         delta.map_batches(partial, batch_format="pandas", **kw)
     )
     return both.groupby("__gr_bkt").map_groups(finalize, batch_format="pandas")
+
+
+_PAD = "__range_pad"  # map_bucket_ranges' pad-row marker
+
+
+def map_bucket_ranges(
+    ds: rd.Dataset, bucket_col: str, num_buckets: int, fn, tag=None
+) -> rd.Dataset:
+    """``fn`` over whole buckets of ``ds``, whose int ``bucket_col`` lies
+    in ``[0, num_buckets)`` (or is added by ``tag``, a batch -> batch
+    function run first in the same map): one sort on the bucket into
+    ``R = min(num_buckets, max(2, cluster CPUs))`` contiguous bucket
+    ranges (R >= 2: ``sort`` samples its own boundaries when the list is
+    empty), then one ``fn`` call per range block (several buckets per
+    call, rows sorted by bucket).
+
+    Every map block also sends one pad row into each range: the bucket
+    is the range's first, every other column null, and a marker column
+    set.  Ray's sort gives a reducer without rows a schema-less empty
+    block, which it logs as a schema change ("Operator produced a
+    RefBundle with a different schema") and passes through ``fn``
+    uncalled; with the pad row every reducer block keeps the schema and
+    every range gets its ``fn`` call.  The pad rows and the marker are
+    dropped before ``fn`` sees the block, so a null in a real row still
+    reaches ``fn``.  Ray does not call a map on an empty block either,
+    so ``tag`` and the padding share one map: a ``tag`` that empties a
+    block still sends its pad rows.  Reads ``ray.cluster_resources()``:
+    the caller owns the session."""
+    import ray
+
+    ranges = min(num_buckets, max(2, int(ray.cluster_resources().get("CPU", 1))))
+    starts = [num_buckets * i // ranges for i in range(ranges)]
+
+    def pad(batch: pa.Table) -> pa.Table:
+        if tag is not None:
+            batch = tag(batch)
+        pads = [pa.array(starts, f.type) if f.name == bucket_col else pa.nulls(ranges, f.type)
+                for f in batch.schema]
+        pads = pa.Table.from_arrays(pads + [pa.array([True] * ranges)],
+                                    schema=batch.schema.append(pa.field(_PAD, pa.bool_())))
+        batch = batch.append_column(pa.field(_PAD, pa.bool_()), pa.nulls(batch.num_rows, pa.bool_()))
+        return pa.concat_tables([batch, pads])
+
+    def unpadded(block: pa.Table) -> pa.Table:
+        return fn(block.filter(pc.is_null(block[_PAD])).drop_columns([_PAD]))
+
+    return (
+        ds.map_batches(pad, batch_format="pyarrow", batch_size=None)
+        .sort(bucket_col, boundaries=starts[1:])
+        .map_batches(unpadded, batch_format="pyarrow", batch_size=None)
+    )

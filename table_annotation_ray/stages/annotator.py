@@ -85,7 +85,6 @@ deterministic or fixes a latent bug):
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from string import punctuation
 
@@ -155,28 +154,30 @@ def types_per_column(
     (utils.py:252-258) and optional ORDINAL index-column detection
     (utils.py:308-334)."""
     out: dict[int, list[dict]] = {}
+    get = cell_types.get
     for col_idx, col in enumerate(columns):
         counts: dict[str, int] = {}
-        n = 0
+        multi = []  # the multi-typed cells' types, in column order
         for cell in col:
-            for t in cell_types.get(cell, ()):  # untyped cells count in denominator
-                counts[t] = counts.get(t, 0) + 1
-            n += 1
-        for cell in col:
-            ts = cell_types.get(cell, ())
-            if len(ts) > 1:
-                ranked = sorted(
-                    ts, key=lambda x: (counts.get(x, 0), typing_priority(x)), reverse=True
-                )
-                for other in ranked[1:]:
-                    if other in counts:
-                        counts[other] -= 1
-                        if counts[other] == 0:
-                            del counts[other]
+            ts = get(cell)
+            if ts:
+                for t in ts:
+                    counts[t] = counts.get(t, 0) + 1
+                if len(ts) > 1:
+                    multi.append(ts)
+        n = len(col)  # untyped cells count in the denominator
+        for ts in multi:
+            ranked = sorted(
+                ts, key=lambda x: (counts.get(x, 0), typing_priority(x)), reverse=True
+            )
+            for other in ranked[1:]:
+                if other in counts:
+                    counts[other] -= 1
+                    if counts[other] == 0:
+                        del counts[other]
         if counts:
-            top = Counter(counts).most_common()
             # D1: deterministic among equal counts
-            top.sort(key=lambda kv: (-kv[1], kv[0]))
+            top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
             out[col_idx] = [
                 {"type": t, "score": c / n} for t, c in top[:top_k] if c > 0
             ]
@@ -363,20 +364,26 @@ class TableAnnotator:
         typings: dict[str, list[str]],
         datatypes: dict[str, list[str]],
         first_data_row: int = 0,
+        primitive_typing: dict[int, list[dict]] | None = None,
     ) -> AnnotationResult:
         """CEA/CTA/CPA of one table.  ``datatypes`` is accepted for the
-        preprocessing output's shape; the model reads only ``typings``."""
+        preprocessing output's shape; the model reads only ``typings``.
+        ``primitive_typing``, when given, is ``types_per_column`` of the
+        data rows' columns (top 3, ORDINAL detection) computed by the
+        caller on the same rows and typings; it is read, never mutated."""
         self.table = table
         self.first_data_row = first_data_row
         self.num_rows = len(table)
         self.num_columns = len(table[0]) if table else 0
         self.n_data_rows = max(1, self.num_rows - first_data_row)
 
-        data_cols = [
-            [table[r][c] for r in range(first_data_row, self.num_rows)]
-            for c in range(self.num_columns)
-        ]
-        self.primitive_typing = types_per_column(data_cols, typings, 3, True)
+        if primitive_typing is None:
+            data_cols = [
+                [table[r][c] for r in range(first_data_row, self.num_rows)]
+                for c in range(self.num_columns)
+            ]
+            primitive_typing = types_per_column(data_cols, typings, 3, True)
+        self.primitive_typing = primitive_typing
 
         self.entity_cols = self._find_semantic_columns()
         self.literal_cols = sorted(set(range(self.num_columns)) - set(self.entity_cols))

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
+from .agg import map_bucket_ranges
 from .annotator import AnnotationResult
 from .sinks import str_partitions, write_partitioned
 
@@ -117,15 +117,14 @@ def dedup_triples(ds: rd.Dataset, num_partitions: int = 16) -> rd.Dataset:
     steps: a map-side Arrow combine per block (fused into the producing
     task) that tags rows with their sink partition, then one sort on
     ``part`` into ``R = min(P, max(2, cluster CPUs))`` reducers, each
-    taking a contiguous range of part ids, and the same Arrow reduce
-    per reducer block.  Each sink partition lies whole in one output
-    block, sorted by (subj, pred, obj), so the sink still writes one
-    file per partition; the fan-out follows the cluster, not the sink
-    (R >= 2 because ``sort`` samples when the boundary list is empty).
-    Pass the sink's partition count; a different count costs extra
-    sink files, never correctness (the sink recomputes ``part`` per
-    row).  Reads ``ray.cluster_resources()``: the caller owns the
-    session."""
+    taking a contiguous range of part ids (stages/agg.py::
+    map_bucket_ranges), and the same Arrow reduce per reducer block.
+    Each sink partition lies whole in one output block, sorted by
+    (subj, pred, obj), so the sink still writes one file per partition;
+    the fan-out follows the cluster, not the sink.  Pass the sink's
+    partition count; a different count costs extra sink files, never
+    correctness (the sink recomputes ``part`` per row).  Reads
+    ``ray.cluster_resources()``: the caller owns the session."""
 
     def combine(batch: pa.Table) -> pa.Table:
         t = _reduce(batch)
@@ -135,14 +134,7 @@ def dedup_triples(ds: rd.Dataset, num_partitions: int = 16) -> rd.Dataset:
     def finalize(part: pa.Table) -> pa.Table:
         return _reduce(part).sort_by([(k, "ascending") for k in _KEY])
 
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    reducers = min(num_partitions, max(2, cpus))
-    boundaries = [num_partitions * i // reducers for i in range(1, reducers)]
-    return (
-        ds.map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .sort("part", boundaries=boundaries)
-        .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-    )
+    return map_bucket_ranges(ds, "part", num_partitions, finalize, tag=combine)
 
 
 def _reduce(batch: pa.Table) -> pa.Table:

@@ -43,8 +43,10 @@ class BothModels:
         self.old = LoopAnnotator(index, kbr, cfg, ActorCaches())
         self.tables = 0
 
-    def annotate(self, *args, **kwargs):
-        result = self.new.annotate(*args, **kwargs)
+    def annotate(self, *args, primitive_typing=None, **kwargs):
+        # the oracle types the data columns itself: a column typing the
+        # caller hands the core must give the same result
+        result = self.new.annotate(*args, primitive_typing=primitive_typing, **kwargs)
         assert_same(result, self.old.annotate(*args, **kwargs))
         self.tables += 1
         return result

@@ -118,38 +118,85 @@ def test_dedup_triples_matches_python_reduce(ray_session, blocks, num_partitions
     assert n_blocks <= min(num_partitions, max(2, cpus)), n_blocks
 
 
+class _SchemaChanges:
+    """Collects the ``ray.data`` logger's "Operator produced a RefBundle
+    with a different schema" warnings while active."""
+
+    def __enter__(self):
+        import logging
+
+        class Collect(logging.Handler):
+            def __init__(self):
+                super().__init__(logging.WARNING)
+                self.messages = []
+
+            def emit(self, record):
+                self.messages.append(record.getMessage())
+
+        self.logger = logging.getLogger("ray.data")
+        self.handler, self.level = Collect(), self.logger.level
+        self.logger.addHandler(self.handler)
+        self.logger.setLevel(logging.WARNING)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.setLevel(self.level)
+        self.logger.removeHandler(self.handler)
+
+    @property
+    def diverged(self) -> list[str]:
+        return [m for m in self.handler.messages
+                if "Operator produced a RefBundle with a different schema" in m]
+
+
 def test_dedup_logs_no_schema_divergence(ray_session, synth_root, tmp_path):
     """The dedup exchange emits no schema-less empty blocks on the 60-
     conversation fixture, whose triples miss 3 of the 16 sink partitions:
     Ray logs each such block as a schema change."""
-    import logging
-
     from table_annotation_ray.pipelines.kg_pipeline import run_kg_pipeline
 
-    class Collect(logging.Handler):
-        def __init__(self):
-            super().__init__(logging.WARNING)
-            self.messages = []
-
-        def emit(self, record):
-            self.messages.append(record.getMessage())
-
-    logger = logging.getLogger("ray.data")
-    handler, level = Collect(), logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.WARNING)
-    try:
-        out = str(tmp_path / "triples")
+    out = str(tmp_path / "triples")
+    with _SchemaChanges() as log:
         run_kg_pipeline(os.path.join(synth_root, "transcripts.parquet"),
                         os.path.join(synth_root, "kb"), out_dir=out)
-    finally:
-        logger.setLevel(level)
-        logger.removeHandler(handler)
     with open(os.path.join(out, "_MANIFEST.json")) as f:
         assert len(json.load(f)["partitions"]) == 13  # 3 partitions get no triple
-    diverged = [m for m in handler.messages
-                if "Operator produced a RefBundle with a different schema" in m]
-    assert diverged == []
+    assert log.diverged == []
+
+
+def test_sparse_dedup_logs_no_schema_divergence(ray_session):
+    """One triple in a 4-CPU session: three of the four part ranges of
+    the dedup exchange get only pad rows, and each must still get its
+    reduce call, or Ray logs the empty block as a schema change."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from table_annotation_ray.stages.triples import dedup_triples
+
+    assert ray.cluster_resources()["CPU"] == 4
+    one = pa.table({"subj": ["Q1"], "pred": ["P1"], "obj": ["Q2"],
+                    "conv_id": ["c"], "score": [1.0]})
+    with _SchemaChanges() as log:
+        assert dedup_triples(rd.from_arrow(one)).take_all() == [
+            {"subj": "Q1", "pred": "P1", "obj": "Q2", "score": 1.0, "conv_id": "c"}]
+    assert log.diverged == []
+
+
+def test_dedup_null_subj_raises(ray_session):
+    """A triple with a null subj is an error, not a pad row of the
+    exchange: dedup_triples raises the partition rule's ValueError."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from table_annotation_ray.stages.triples import dedup_triples
+
+    bad = pa.table({"subj": ["Q1", None], "pred": ["P1", "P1"], "obj": ["Q2", "Q3"],
+                    "conv_id": ["c", "c"], "score": [1.0, 1.0]})
+    out = dedup_triples(rd.from_arrow(bad))
+    out.context.raise_original_map_exception = True
+    with pytest.raises(ValueError, match="null subj"):
+        out.take_all()
 
 
 def test_sink_writes_one_file_per_partition(ray_session, synth_root, tmp_path):

@@ -3,10 +3,13 @@
 import codecs
 import json
 import os
+import sys
 
 import pytest
 
 from table_annotation_ray.sources import delimited
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_txt_to_table_comma():
@@ -510,3 +513,16 @@ def test_annotate_tables_logs_no_schema_divergence(ray_session, kb_objects):
     assert sorted(out["table_id"]) == ["cities", "films", "mayors"]
     assert all(json.loads(a)["CEA"] for a in out["annotated"])
     assert not [m for m in handler.messages if "different schema" in m]
+
+
+def test_table_oracle_literals_match_in_process():
+    """The ``table_preprocess`` / ``table_annotate`` oracles' pinned
+    sf0.01 literals are those queries' rows computed in process, without
+    Ray (check_oracles compares the Ray queries with them)."""
+    import __ray_entry__ as entry
+
+    sys.path.insert(0, os.path.join(REPO, "tools"))
+    from check_oracles import SF_DIR
+
+    for name, pinned in entry._TABLE_LITERALS_SF001.items():
+        assert entry.values_literal(entry.table_rows_in_process(name, SF_DIR)) == pinned, name
